@@ -11,8 +11,8 @@
 //!   physical-qubits ≫ variables observations (§VIII-A).
 //! * [`chain`] — chain strength, field/coupling splitting, and
 //!   majority-vote chain-break repair.
-//! * [`sampler`] — rayon-parallel simulated annealing with an
-//!   ICE-style analog noise model.
+//! * [`sampler`] — simulated annealing, one read after another on the
+//!   calling thread, with an ICE-style analog noise model.
 //! * [`timing`] — the §VIII-C QPU access-time model (15 ms programming,
 //!   20 µs anneals, ≈30 ms per 100-sample job).
 //! * [`device`] — the assembled [`AnnealerDevice`] with the

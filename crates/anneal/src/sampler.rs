@@ -3,8 +3,9 @@
 //! The physical anneal of the D-Wave device is replaced by classical
 //! simulated annealing over the *embedded* problem, with an ICE-style
 //! noise model: per-read Gaussian perturbation of fields and couplings
-//! plus readout flips. Reads are independent, so they fan out across
-//! rayon workers.
+//! plus readout flips. Reads are independent (each seeds its own RNG)
+//! and go through rayon's parallel-iterator API, but the vendored
+//! `rayon` stand-in runs them one after another on the calling thread.
 
 use nck_cancel::CancelToken;
 use nck_qubo::Ising;

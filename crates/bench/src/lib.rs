@@ -2,9 +2,9 @@
 //!
 //! Shared harness code for regenerating every table and figure of the
 //! paper's evaluation. Each figure has a binary (`table1`, `fig7`,
-//! `fig8`, `fig9`, `fig10`, `fig11`, `fig12`, `timing`, `qubo_compare`)
-//! that prints the corresponding rows/series; `cargo bench` runs the
-//! criterion micro-benchmarks behind them.
+//! `fig8_10` for Figs. 8–10, `fig11`, `fig12`, `timing`,
+//! `qubo_compare`) that prints the corresponding rows/series; `cargo
+//! bench` runs the criterion micro-benchmarks behind them.
 
 #![warn(missing_docs)]
 
@@ -180,8 +180,9 @@ pub struct GateOutcome {
 
 /// Run the shared gate-model study: every problem family scaled until
 /// it no longer fits the 65-qubit device, one QAOA (p = 1, 4000 shots)
-/// execution each through the unified [`Backend`] pipeline. Figs. 8,
-/// 9, and 10 print different columns of this table.
+/// execution each through the unified [`Backend`] pipeline. The
+/// `fig8_10` binary prints Figs. 8, 9, and 10 as different columns of
+/// this one table.
 ///
 /// [`Backend`]: nck_exec::Backend
 pub fn run_gate_study(shots: usize, max_iter: usize) -> Vec<GateOutcome> {

@@ -6,16 +6,19 @@
 //! amplification of the assignments satisfying a Boolean predicate,
 //! with the textbook ⌈π/4·√(N/M)⌉ iteration schedule.
 //!
-//! The oracle is applied as a diagonal phase flip computed from the
-//! predicate — standard practice for simulators, where building the
-//! reversible oracle circuit would only change constant factors, not
-//! the measured amplification behavior.
+//! The oracle is applied as a diagonal phase flip read from a table of
+//! the predicate's value on every basis state — standard practice for
+//! simulators, where building the reversible oracle circuit would only
+//! change constant factors, not the measured amplification behavior.
 
 use crate::complex::Complex;
 use crate::gates::Gate;
 use crate::state::StateVector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Largest register the Grover simulation accepts.
+const MAX_QUBITS: usize = 24;
 
 /// Result of a Grover run.
 #[derive(Clone, Debug)]
@@ -41,33 +44,42 @@ pub fn optimal_iterations(total: u64, marked: u64) -> usize {
     ((std::f64::consts::FRAC_PI_4 / angle) - 0.5).round().max(0.0) as usize
 }
 
-/// Run Grover search for satisfying assignments of `predicate` over
-/// `num_qubits` variables, with `iterations` rounds (pick via
+/// The oracle table [`grover_search`] reads: entry `i` is
+/// `predicate(i)`, one entry per basis state of `num_qubits` variables.
+pub fn marked_states(num_qubits: usize, predicate: impl FnMut(u64) -> bool) -> Vec<bool> {
+    assert!(num_qubits <= MAX_QUBITS, "Grover simulation limited to {MAX_QUBITS} qubits");
+    (0..1u64 << num_qubits).map(predicate).collect()
+}
+
+/// Run Grover search over `num_qubits` variables for the basis states
+/// flagged in `marked` (one entry per basis state; see
+/// [`marked_states`]), with `iterations` rounds (pick via
 /// [`optimal_iterations`] when the solution count is known).
 pub fn grover_search(
     num_qubits: usize,
-    predicate: impl Fn(u64) -> bool + Sync,
+    marked: &[bool],
     iterations: usize,
     seed: u64,
 ) -> GroverResult {
-    assert!(num_qubits <= 24, "Grover simulation limited to 24 qubits");
-    let n = 1usize << num_qubits;
+    assert!(num_qubits <= MAX_QUBITS, "Grover simulation limited to {MAX_QUBITS} qubits");
+    assert_eq!(marked.len(), 1 << num_qubits, "one marked flag per basis state");
     let mut s = StateVector::zero(num_qubits);
     for q in 0..num_qubits {
         s.apply(Gate::H(q));
     }
     for _ in 0..iterations {
         // Oracle: phase-flip marked states.
-        s.map_amplitudes(|i, a| if predicate(i as u64) { -a } else { a });
+        s.map_amplitudes(|i, a| if marked[i] { -a } else { a });
         // Diffusion: reflect about the uniform state, 2|ψ₀⟩⟨ψ₀| − I.
         s.reflect_about_mean();
     }
-    let success_probability: f64 = (0..n).filter(|&i| predicate(i as u64)).map(|i| s.prob(i)).sum();
+    let success_probability: f64 =
+        (0..marked.len()).filter(|&i| marked[i]).map(|i| s.prob(i)).sum();
     let mut rng = StdRng::seed_from_u64(seed);
     let bits = s.sample(&mut rng);
     GroverResult {
         assignment: (0..num_qubits).map(|q| bits >> q & 1 == 1).collect(),
-        satisfying: predicate(bits),
+        satisfying: marked[bits as usize],
         iterations,
         success_probability,
     }
@@ -107,7 +119,7 @@ mod tests {
         let target = 0b1011_0110u64;
         let iters = optimal_iterations(256, 1);
         assert_eq!(iters, 12); // ⌊π/4·16⌋ rounded
-        let r = grover_search(8, |x| x == target, iters, 5);
+        let r = grover_search(8, &marked_states(8, |x| x == target), iters, 5);
         assert!(r.success_probability > 0.99, "p = {}", r.success_probability);
         assert!(r.satisfying);
     }
@@ -124,14 +136,14 @@ mod tests {
     fn multiple_solutions_need_fewer_iterations() {
         let iters = optimal_iterations(256, 16);
         assert!(iters < optimal_iterations(256, 1));
-        let r = grover_search(8, |x| x % 16 == 3, iters, 7);
+        let r = grover_search(8, &marked_states(8, |x| x % 16 == 3), iters, 7);
         assert!(r.success_probability > 0.95, "p = {}", r.success_probability);
     }
 
     #[test]
     fn all_marked_needs_zero_iterations() {
         assert_eq!(optimal_iterations(64, 64), 0);
-        let r = grover_search(6, |_| true, 0, 1);
+        let r = grover_search(6, &marked_states(6, |_| true), 0, 1);
         assert!(r.satisfying);
         assert!((r.success_probability - 1.0).abs() < 1e-9);
     }
@@ -141,8 +153,9 @@ mod tests {
         // Grover success is periodic: running ~2× the optimal count
         // rotates past the target.
         let opt = optimal_iterations(256, 1);
-        let good = grover_search(8, |x| x == 99, opt, 3);
-        let over = grover_search(8, |x| x == 99, 2 * opt + 1, 3);
+        let marked = marked_states(8, |x| x == 99);
+        let good = grover_search(8, &marked, opt, 3);
+        let over = grover_search(8, &marked, 2 * opt + 1, 3);
         assert!(good.success_probability > 0.99);
         assert!(over.success_probability < 0.5, "p = {}", over.success_probability);
     }
@@ -156,7 +169,7 @@ mod tests {
             (a + b <= 1) && (b + c == 1)
         };
         let iters = optimal_iterations(8, 3);
-        let r = grover_search(3, pred, iters, 11);
+        let r = grover_search(3, &marked_states(3, pred), iters, 11);
         // Tiny space: one rotation lands at sin²(3θ) ≈ 0.84, the best
         // achievable — clearly above the 3/8 uniform baseline.
         assert!(r.success_probability > 0.8, "p = {}", r.success_probability);

@@ -4,8 +4,8 @@
 //! 65-qubit IBM Q system (ibmq_brooklyn) of the paper's evaluation:
 //!
 //! * [`complex`] / [`state`] — dense state-vector simulation of the
-//!   `{h, x, rx, rz, cx, rzz, swap}` gate set, rayon-parallel on large
-//!   registers (exact up to ~24 qubits).
+//!   `{h, x, rx, rz, cx, rzz, swap}` gate set on one thread (exact up
+//!   to ~24 qubits).
 //! * [`gates`] — circuit IR with the §VIII-B depth metric.
 //! * [`coupling`] / [`transpile`](mod@transpile) — heavy-hex-style coupling maps and a
 //!   layout + SWAP-routing + basis-decomposition transpiler; routed
@@ -53,12 +53,13 @@ pub use analytic::qaoa1_expectation;
 pub use complex::Complex;
 pub use coupling::CouplingMap;
 pub use gates::{Circuit, Gate};
-pub use grover::{grover_search, optimal_iterations, GroverResult};
+pub use grover::{grover_search, marked_states, optimal_iterations, GroverResult};
 pub use mixer::{qaoa_circuit_with_mixer, Mixer};
 pub use noise::CircuitNoise;
 pub use optim::{nelder_mead, nelder_mead_resumable, nelder_mead_with_stop, NmState, OptimResult};
 pub use qaoa::{
-    qaoa_circuit, qaoa_expectation_sim, GateModelDevice, QaoaError, QaoaRun, QaoaTimingModel,
+    cost_diagonal, qaoa_circuit, qaoa_expectation_diagonal, qaoa_expectation_sim, GateModelDevice,
+    QaoaError, QaoaRun, QaoaTimingModel,
 };
 pub use qasm::to_qasm;
 pub use state::StateVector;

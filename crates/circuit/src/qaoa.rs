@@ -4,8 +4,9 @@
 //! the QAOA algorithm").
 //!
 //! The driver optimizes the 2p circuit parameters with Nelder–Mead,
-//! evaluating ⟨H⟩ either on the exact state vector (small registers) or
-//! with the analytic p=1 formula (large registers), degraded by the
+//! evaluating ⟨H⟩ either on the exact state vector against a cost
+//! diagonal built once per run (small registers) or with the analytic
+//! p=1 formula (large registers), degraded by the
 //! transpiled circuit's depolarizing fidelity. Final sampling draws
 //! `shots` bitstrings and returns the lowest-energy one, as Qiskit's
 //! QAOA does.
@@ -88,16 +89,34 @@ pub fn qaoa_circuit(ising: &Ising, betas: &[f64], gammas: &[f64]) -> Circuit {
     c
 }
 
+/// The cost diagonal of `ising`: entry `i` is the energy of basis state
+/// `i` (bit `q` of `i` set = spin `q` is +1). It holds 2ⁿ `f64`s — 8 MB
+/// at the 20-qubit exact-simulation limit.
+pub fn cost_diagonal(ising: &Ising) -> Vec<f64> {
+    (0..1u64 << ising.num_spins()).map(|bits| ising.energy_bits(bits)).collect()
+}
+
 /// Exact ⟨H⟩ of the QAOA state by state-vector simulation (any p,
-/// small registers).
-pub fn qaoa_expectation_sim(ising: &Ising, betas: &[f64], gammas: &[f64]) -> f64 {
+/// small registers), reading energies from `ising`'s precomputed
+/// [`cost_diagonal`].
+pub fn qaoa_expectation_diagonal(
+    ising: &Ising,
+    diagonal: &[f64],
+    betas: &[f64],
+    gammas: &[f64],
+) -> f64 {
     let c = qaoa_circuit(ising, betas, gammas);
     let mut s = StateVector::zero(ising.num_spins());
     s.run(&c);
-    s.expectation_diagonal(|bits| {
-        let spins: Vec<bool> = (0..ising.num_spins()).map(|q| bits >> q & 1 == 1).collect();
-        ising.energy(&spins)
-    })
+    s.expectation_diagonal(|bits| diagonal[bits as usize])
+}
+
+/// Exact ⟨H⟩ of the QAOA state by state-vector simulation (any p,
+/// small registers). Builds the cost diagonal for one evaluation; loops
+/// that evaluate the same Hamiltonian repeatedly should build it once
+/// and call [`qaoa_expectation_diagonal`].
+pub fn qaoa_expectation_sim(ising: &Ising, betas: &[f64], gammas: &[f64]) -> f64 {
+    qaoa_expectation_diagonal(ising, &cost_diagonal(ising), betas, gammas)
 }
 
 /// IBM-cloud timing model for Fig. 11 and §VIII-C: "each job comprised
@@ -272,11 +291,14 @@ impl GateModelDevice {
         // Uniform-mixture mean energy of the scaled problem: all ⟨s⟩
         // and ⟨ss⟩ vanish, leaving the offset.
         let e_mixed = ising.offset();
+        // The energies never change during the run, so every exact
+        // evaluation reads one diagonal built here.
+        let diagonal = if exact { cost_diagonal(&ising) } else { Vec::new() };
         // Noisy expectation objective.
         let mut evaluate = |params: &[f64]| -> f64 {
             let (betas, gammas) = params.split_at(layers);
             let ideal = if exact {
-                qaoa_expectation_sim(&ising, betas, gammas)
+                qaoa_expectation_diagonal(&ising, &diagonal, betas, gammas)
             } else {
                 qaoa1_expectation(&ising, betas[0], gammas[0])
             };
@@ -301,8 +323,7 @@ impl GateModelDevice {
         let samples = self.sample(&ising, betas, gammas, fidelity, shots, &mut rng);
         let (mut best_bits, mut best_energy) = (0u64, f64::INFINITY);
         for bits in samples {
-            let x: Vec<bool> = (0..n).map(|q| bits >> q & 1 == 1).collect();
-            let e = qubo.energy(&x);
+            let e = qubo.energy_bits(bits);
             if e < best_energy {
                 best_energy = e;
                 best_bits = bits;
@@ -386,19 +407,15 @@ impl GateModelDevice {
 fn metropolis_matched(ising: &Ising, target: f64, shots: usize, rng: &mut StdRng) -> Vec<u64> {
     let n = ising.num_spins();
     assert!(n <= 64, "packed sampling limited to 64 spins");
-    let energy = |bits: u64| {
-        let spins: Vec<bool> = (0..n).map(|q| bits >> q & 1 == 1).collect();
-        ising.energy(&spins)
-    };
     let chain_mean = |beta: f64, rng: &mut StdRng| -> f64 {
         let mut bits: u64 = rng.random::<u64>() & ((1u64 << n) - 1);
-        let mut e = energy(bits);
+        let mut e = ising.energy_bits(bits);
         let mut acc = 0.0;
         let steps = 40 * n;
         for step in 0..steps {
             let q = rng.random_range(0..n);
             let cand = bits ^ (1 << q);
-            let ce = energy(cand);
+            let ce = ising.energy_bits(cand);
             if ce <= e || (-(beta * (ce - e))).exp() > rng.random::<f64>() {
                 bits = cand;
                 e = ce;
@@ -423,14 +440,14 @@ fn metropolis_matched(ising: &Ising, target: f64, shots: usize, rng: &mut StdRng
     // Production sampling: one chain, one sample per interval.
     let mut out = Vec::with_capacity(shots);
     let mut bits: u64 = rng.random::<u64>() & ((1u64 << n) - 1);
-    let mut e = energy(bits);
+    let mut e = ising.energy_bits(bits);
     let burn = 20 * n;
     let stride = n.max(8);
     let mut step = 0usize;
     while out.len() < shots {
         let q = rng.random_range(0..n);
         let cand = bits ^ (1 << q);
-        let ce = energy(cand);
+        let ce = ising.energy_bits(cand);
         if ce <= e || (-(beta * (ce - e))).exp() > rng.random::<f64>() {
             bits = cand;
             e = ce;

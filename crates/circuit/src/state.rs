@@ -1,10 +1,11 @@
 //! Dense state-vector simulation.
 //!
-//! Exact simulation of the gate set in [`crate::gates`], with rayon
-//! parallelism over amplitude chunks for registers large enough to
-//! amortize the fork cost. Practical up to ~24 qubits (16M amplitudes);
-//! larger QAOA instances use the analytic p=1 evaluator instead
-//! ([`crate::analytic`]).
+//! Exact simulation of the gate set in [`crate::gates`]. Large registers
+//! go through rayon's parallel-iterator API over amplitude chunks, but
+//! the vendored `rayon` stand-in executes those iterators sequentially,
+//! so every gate runs on one thread. Practical up to ~24 qubits (16M
+//! amplitudes); larger QAOA instances use the analytic p=1 evaluator
+//! instead ([`crate::analytic`]).
 
 use crate::complex::Complex;
 use crate::gates::{Circuit, Gate};
@@ -12,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rayon::prelude::*;
 
-/// Registers at or above this size use parallel gate application.
+/// Registers at or above this size take the parallel-iterator path.
 const PAR_THRESHOLD: usize = 1 << 14;
 
 /// A pure quantum state over `n` qubits (amplitude `i` ↔ basis state

@@ -10,7 +10,7 @@
 //! * [`qubo_bb`] — branch-and-bound over *translated QUBOs*: exact but
 //!   much slower on dense instances, reproducing the paper's
 //!   observation that classical solvers handle the QUBO form poorly.
-//! * [`brute`] — rayon-parallel exhaustive ground truth for tests.
+//! * [`brute`] — single-threaded exhaustive ground truth for tests.
 //! * [`classify`] — optimal / suboptimal / incorrect classification of
 //!   backend samples.
 //! * [`tabu`] — tabu-search QUBO heuristic (the Ocean `TabuSampler`

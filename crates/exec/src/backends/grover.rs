@@ -12,7 +12,7 @@ use crate::durable::{decode_grover_progress, encode_grover_progress, GroverProgr
 use crate::error::ExecError;
 use crate::fault::FaultInjection;
 use crate::journal::RunCtx;
-use nck_circuit::grover_search;
+use nck_circuit::{grover_search, marked_states};
 use std::time::Instant;
 
 /// BBHT growth factor for the unknown-solution-count schedule: the
@@ -70,11 +70,17 @@ impl Backend for GroverBackend {
             return Err(ExecError::TooLarge { vars: n, limit: self.max_vars });
         }
         self.faults.apply_sample_faults(ctx)?;
-        let predicate = |bits: u64| {
-            let x: Vec<bool> = (0..n).map(|q| bits >> q & 1 == 1).collect();
-            program.all_hard_satisfied(&x)
-        };
         let t = Instant::now();
+        // The oracle: every basis state checked against the hard
+        // constraints once per run, then read by every Grover iteration
+        // of every guess.
+        let mut x = vec![false; n];
+        let marked = marked_states(n, |bits| {
+            for (q, v) in x.iter_mut().enumerate() {
+                *v = bits >> q & 1 == 1;
+            }
+            program.all_hard_satisfied(&x)
+        });
         // BBHT: try m = ⌈BBHT_GROWTH^j⌉ iterations, j = 0, 1, …;
         // measure once per guess. Expected O(√(N/M)) total oracle calls.
         // Durable runs checkpoint the schedule position after each
@@ -105,7 +111,7 @@ impl Backend for GroverBackend {
                 return Err(ExecError::Cancelled { backend: ctx.backend, stage: ctx.stage });
             }
             let iters = m.ceil() as usize;
-            let r = grover_search(n, predicate, iters, seed ^ j);
+            let r = grover_search(n, &marked, iters, seed ^ j);
             measurements += 1;
             total_iterations += r.iterations;
             success_probability = r.success_probability;
