@@ -6,10 +6,7 @@
 //! The resilience supervisor adds one circuit-breaker admission, one
 //! `RunCtx` allocation, a deadline-sliced `CancelToken`, and a handful
 //! of journal pushes per run. The acceptance bar is ≤ 2 % overhead on a
-//! fault-free run; this harness measures it with wall-clock medians
-//! (the vendored criterion crate is a type-check-only stub, so the
-//! `supervisor_bench` criterion bench smoke-runs the same arms without
-//! timing them).
+//! fault-free run; this harness measures it with wall-clock medians.
 //!
 //! The durable arms add the full `nck-store` pipeline — an fsynced WAL
 //! append per journal event, periodic mid-solve checkpoints, and a

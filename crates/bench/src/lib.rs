@@ -3,8 +3,7 @@
 //! Shared harness code for regenerating every table and figure of the
 //! paper's evaluation. Each figure has a binary (`table1`, `fig7`,
 //! `fig8_10` for Figs. 8–10, `fig11`, `fig12`, `timing`,
-//! `qubo_compare`) that prints the corresponding rows/series; `cargo
-//! bench` runs the criterion micro-benchmarks behind them.
+//! `qubo_compare`) that prints the corresponding rows/series.
 
 #![warn(missing_docs)]
 

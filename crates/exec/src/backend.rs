@@ -12,7 +12,48 @@ use crate::error::ExecError;
 use crate::journal::RunCtx;
 use nck_compile::CompiledProgram;
 use nck_core::Program;
+use std::fmt;
 use std::time::Duration;
+
+/// Which backend a run, a journal event, or an error belongs to. The
+/// supervisor names itself for failures no backend owns (store death,
+/// an empty ladder).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum BackendId {
+    /// The simulated D-Wave annealer.
+    Annealer,
+    /// The simulated IBM Q device via QAOA.
+    Gate,
+    /// Grover search on the simulated gate model.
+    Grover,
+    /// The exact classical branch and bound.
+    Classical,
+    /// The supervisor itself.
+    Supervisor,
+}
+
+impl BackendId {
+    /// Every backend identity, in declaration order.
+    pub const ALL: [BackendId; 5] = [
+        BackendId::Annealer,
+        BackendId::Gate,
+        BackendId::Grover,
+        BackendId::Classical,
+        BackendId::Supervisor,
+    ];
+}
+
+impl fmt::Display for BackendId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            BackendId::Annealer => "annealer",
+            BackendId::Gate => "gate",
+            BackendId::Grover => "grover",
+            BackendId::Classical => "classical",
+            BackendId::Supervisor => "supervisor",
+        })
+    }
+}
 
 /// The compiled-once inputs handed to every backend by a plan.
 #[derive(Clone, Copy, Debug)]
@@ -103,8 +144,8 @@ pub enum BackendMetrics {
 /// into `ctx.journal`, poll `ctx.cancel` inside long-running loops,
 /// and report failures as [`ExecError`] values, never panics.
 pub trait Backend {
-    /// Short stable name ("annealer", "gate", "grover", "classical").
-    fn name(&self) -> &'static str;
+    /// Which backend this is.
+    fn name(&self) -> BackendId;
 
     /// Execute the prepared program once with the given seed.
     fn run(

@@ -1,12 +1,13 @@
 //! The simulated D-Wave annealer behind the [`Backend`] trait, with an
 //! embedding cache and a typed retry/fallback policy.
 
-use crate::backend::{Backend, BackendMetrics, Candidates, Prepared};
-use crate::durable::{decode_anneal_progress, encode_anneal_progress};
+use crate::backend::{Backend, BackendId, BackendMetrics, Candidates, Prepared};
+use crate::durable::{decode, encode_anneal_progress};
 use crate::error::{ExecError, FaultKind};
 use crate::fault::FaultInjection;
-use crate::journal::{JournalKind, RunCtx};
-use nck_anneal::{find_embedding, AnnealError, AnnealerDevice, Embedding, Topology};
+use crate::journal::{Fallback, JournalKind, RunCtx};
+use crate::stage::Stage;
+use nck_anneal::{find_embedding, AnnealError, AnnealSample, AnnealerDevice, Embedding, Topology};
 use nck_qubo::Qubo;
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
@@ -114,7 +115,7 @@ impl AnnealerBackend {
                         logical_vars: qubo.num_vars(),
                         device_qubits: self.device.topology.num_qubits(),
                     }));
-                    ctx.note(JournalKind::FallbackTaken { what: "clique embedding" });
+                    ctx.note(JournalKind::FallbackTaken { what: Fallback::CliqueEmbedding });
                     ctx.stages.fallbacks += 1;
                 }
             }
@@ -129,8 +130,8 @@ impl AnnealerBackend {
 }
 
 impl Backend for AnnealerBackend {
-    fn name(&self) -> &'static str {
-        "annealer"
+    fn name(&self) -> BackendId {
+        BackendId::Annealer
     }
 
     fn run(
@@ -140,12 +141,12 @@ impl Backend for AnnealerBackend {
         ctx: &mut RunCtx,
     ) -> Result<(Candidates, BackendMetrics), ExecError> {
         let qubo = &prepared.compiled.qubo;
-        ctx.enter_stage("embed");
+        ctx.enter_stage(Stage::Embed);
         let t = Instant::now();
         let embedding = self.embed(qubo, seed, ctx)?;
         ctx.stages.embed = t.elapsed();
 
-        ctx.enter_stage("sample");
+        ctx.enter_stage(Stage::Sample);
         self.faults.apply_sample_faults(ctx)?;
         if ctx.attempt < self.faults.chain_break_storms {
             // The job "ran" but every read came back storm-broken —
@@ -171,11 +172,8 @@ impl Backend for AnnealerBackend {
             // Durable run: restore the interrupted job's completed
             // reads (if any) and checkpoint every `interval` reads so
             // a crash loses at most one chunk of sampling work.
-            let (skip, restored) = ctx
-                .ckpt
-                .load("annealer")
-                .and_then(|buf| decode_anneal_progress(&buf))
-                .unwrap_or_default();
+            let (skip, restored): (usize, Vec<AnnealSample>) =
+                ctx.ckpt.load("annealer").and_then(|buf| decode(&buf)).unwrap_or_default();
             let skip = skip.min(self.num_reads);
             let ckpt = std::sync::Arc::clone(&ctx.ckpt);
             self.device.sample_qubo_embedded_resumable(

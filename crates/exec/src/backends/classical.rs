@@ -1,11 +1,13 @@
 //! The classical exact solver (the Z3-role baseline) behind the
 //! [`Backend`] trait.
 
-use crate::backend::{Backend, BackendMetrics, Candidates, Prepared};
-use crate::durable::{decode_incumbent, encode_incumbent};
+use crate::backend::{Backend, BackendId, BackendMetrics, Candidates, Prepared};
+use crate::budget::BudgetDim;
+use crate::durable::{decode, encode};
 use crate::error::ExecError;
 use crate::fault::FaultInjection;
 use crate::journal::{JournalKind, RunCtx};
+use crate::stage::Stage;
 use nck_classical::{solve_cancellable, solve_resumable, Incumbent, SolveOutcome, SolverOptions};
 use std::sync::Arc;
 use std::time::Instant;
@@ -34,8 +36,8 @@ impl ClassicalBackend {
 }
 
 impl Backend for ClassicalBackend {
-    fn name(&self) -> &'static str {
-        "classical"
+    fn name(&self) -> BackendId {
+        BackendId::Classical
     }
 
     fn run(
@@ -44,7 +46,7 @@ impl Backend for ClassicalBackend {
         _seed: u64,
         ctx: &mut RunCtx,
     ) -> Result<(Candidates, BackendMetrics), ExecError> {
-        ctx.enter_stage("sample");
+        ctx.enter_stage(Stage::Sample);
         self.faults.apply_sample_faults(ctx)?;
         let t = Instant::now();
         let (outcome, stats) = if ctx.ckpt.interval() == 0 {
@@ -53,14 +55,14 @@ impl Backend for ClassicalBackend {
             // Durable run: seed the search with the persisted incumbent
             // (the branch-and-bound prunes against it immediately) and
             // checkpoint every improvement.
-            let restored = ctx.ckpt.load("classical").and_then(|buf| decode_incumbent(&buf));
+            let restored = ctx.ckpt.load("classical").and_then(|buf| decode(&buf));
             let sink = Arc::clone(&ctx.ckpt);
             solve_resumable(
                 prepared.program,
                 &self.options,
                 &ctx.cancel,
                 restored,
-                &mut |inc: &Incumbent| sink.save("classical", &encode_incumbent(inc)),
+                &mut |inc: &Incumbent| sink.save("classical", &encode(inc)),
             )
         };
         ctx.stages.sample = t.elapsed();
@@ -90,7 +92,7 @@ impl Backend for ClassicalBackend {
                 if ctx.cancel.is_cancelled() {
                     Err(ExecError::Cancelled { backend: ctx.backend, stage: ctx.stage })
                 } else {
-                    Err(ExecError::BudgetExhausted { what: "nodes" })
+                    Err(ExecError::BudgetExhausted { what: BudgetDim::Nodes })
                 }
             }
             SolveOutcome::Unsatisfiable => Err(ExecError::Unsatisfiable),

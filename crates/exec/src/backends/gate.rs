@@ -1,11 +1,12 @@
 //! The simulated gate-model/QAOA device behind the [`Backend`] trait,
 //! with the analytic-evaluator fallback policy.
 
-use crate::backend::{Backend, BackendMetrics, Candidates, Prepared};
-use crate::durable::{decode_nm_state, encode_nm_state};
+use crate::backend::{Backend, BackendId, BackendMetrics, Candidates, Prepared};
+use crate::durable::{decode, encode};
 use crate::error::ExecError;
 use crate::fault::FaultInjection;
-use crate::journal::{JournalKind, RunCtx};
+use crate::journal::{Fallback, JournalKind, RunCtx};
+use crate::stage::Stage;
 use nck_cancel::{CancelToken, Checkpointer};
 use nck_circuit::{GateModelDevice, NmState, QaoaError, QaoaRun};
 use nck_qubo::Qubo;
@@ -99,7 +100,7 @@ impl GateModelBackend {
             state,
             &mut |s: &NmState| {
                 if (s.iterations as u64).is_multiple_of(interval) {
-                    sink.save("gate", &encode_nm_state(s));
+                    sink.save("gate", &encode(s));
                 }
             },
         )
@@ -107,8 +108,8 @@ impl GateModelBackend {
 }
 
 impl Backend for GateModelBackend {
-    fn name(&self) -> &'static str {
-        "gate"
+    fn name(&self) -> BackendId {
+        BackendId::Gate
     }
 
     fn run(
@@ -118,14 +119,14 @@ impl Backend for GateModelBackend {
         ctx: &mut RunCtx,
     ) -> Result<(Candidates, BackendMetrics), ExecError> {
         let n = prepared.compiled.num_qubo_vars();
-        ctx.enter_stage("sample");
+        ctx.enter_stage(Stage::Sample);
         if n > PACKED_SAMPLER_LIMIT && n > self.device.sim_limit {
             return Err(ExecError::TooLarge { vars: n, limit: PACKED_SAMPLER_LIMIT });
         }
         self.faults.apply_sample_faults(ctx)?;
         let qubo = &prepared.compiled.qubo;
         let t = Instant::now();
-        let restored = ctx.ckpt.load("gate").and_then(|buf| decode_nm_state(&buf));
+        let restored = ctx.ckpt.load("gate").and_then(|buf| decode::<NmState>(&buf));
         // Injected fault: report the first attempt as a state-vector
         // overflow so the fallback policy below runs deterministically.
         let first = if self.faults.qaoa_overflow {
@@ -139,7 +140,7 @@ impl Backend for GateModelBackend {
                 if self.analytic_fallback && self.layers > 1 =>
             {
                 ctx.note_suppressed(e.into());
-                ctx.note(JournalKind::FallbackTaken { what: "analytic p=1 QAOA" });
+                ctx.note(JournalKind::FallbackTaken { what: Fallback::AnalyticP1 });
                 ctx.stages.fallbacks += 1;
                 self.qaoa(qubo, 1, seed, &ctx.cancel, &ctx.ckpt, restored)?
             }

@@ -7,11 +7,12 @@
 //! registers the state-vector oracle can hold. Both limits are typed
 //! [`ExecError`] values, not panics.
 
-use crate::backend::{Backend, BackendMetrics, Candidates, Prepared};
-use crate::durable::{decode_grover_progress, encode_grover_progress, GroverProgress};
+use crate::backend::{Backend, BackendId, BackendMetrics, Candidates, Prepared};
+use crate::durable::{decode, encode, GroverProgress};
 use crate::error::ExecError;
 use crate::fault::FaultInjection;
 use crate::journal::RunCtx;
+use crate::stage::Stage;
 use nck_circuit::{grover_search, marked_states};
 use std::time::Instant;
 
@@ -50,8 +51,8 @@ impl GroverBackend {
 }
 
 impl Backend for GroverBackend {
-    fn name(&self) -> &'static str {
-        "grover"
+    fn name(&self) -> BackendId {
+        BackendId::Grover
     }
 
     fn run(
@@ -61,7 +62,7 @@ impl Backend for GroverBackend {
         ctx: &mut RunCtx,
     ) -> Result<(Candidates, BackendMetrics), ExecError> {
         let program = prepared.program;
-        ctx.enter_stage("sample");
+        ctx.enter_stage(Stage::Sample);
         if program.num_soft() > 0 {
             return Err(ExecError::SoftUnsupported { num_soft: program.num_soft() });
         }
@@ -92,7 +93,7 @@ impl Backend for GroverBackend {
         let restored = if interval == 0 {
             None
         } else {
-            ctx.ckpt.load("grover").and_then(|buf| decode_grover_progress(&buf))
+            ctx.ckpt.load("grover").and_then(|buf| decode::<GroverProgress>(&buf))
         };
         let restored = restored.filter(|p| p.next_guess <= self.max_guesses);
         let start_guess = restored.as_ref().map_or(0, |p| p.next_guess);
@@ -123,7 +124,7 @@ impl Backend for GroverBackend {
             if interval != 0 {
                 ctx.ckpt.save(
                     "grover",
-                    &encode_grover_progress(&GroverProgress {
+                    &encode(&GroverProgress {
                         next_guess: j + 1,
                         measurements: measurements as u64,
                         total_iterations: total_iterations as u64,

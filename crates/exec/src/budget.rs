@@ -10,6 +10,7 @@
 //! failures replay exactly.
 
 use nck_cancel::CancelToken;
+use std::fmt;
 use std::time::Duration;
 
 /// SplitMix64 finalizer (same mixing as the annealer's per-read seed
@@ -54,6 +55,37 @@ impl RunBudget {
             Some(d) => CancelToken::with_deadline(d),
             None => CancelToken::never(),
         }
+    }
+}
+
+/// A budget dimension that can run out, as named in
+/// [`ExecError::BudgetExhausted`](crate::ExecError::BudgetExhausted).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BudgetDim {
+    /// [`RunBudget::max_attempts`].
+    Attempts,
+    /// [`RunBudget::max_samples`].
+    Samples,
+    /// [`RunBudget::deadline`].
+    Deadline,
+    /// The classical backend's branch-and-bound node limit.
+    Nodes,
+}
+
+impl BudgetDim {
+    /// Every budget dimension, in declaration order.
+    pub const ALL: [BudgetDim; 4] =
+        [BudgetDim::Attempts, BudgetDim::Samples, BudgetDim::Deadline, BudgetDim::Nodes];
+}
+
+impl fmt::Display for BudgetDim {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            BudgetDim::Attempts => "attempts",
+            BudgetDim::Samples => "samples",
+            BudgetDim::Deadline => "deadline",
+            BudgetDim::Nodes => "nodes",
+        })
     }
 }
 

@@ -11,25 +11,32 @@
 //!   boundaries and at the end of the run, collapsing the WAL.
 //!
 //! The codec is hand-rolled little-endian (the workspace is
-//! dependency-free by policy) and *exact*: journal timestamps are
+//! dependency-free by policy): each wire type implements one private
+//! encode/decode trait. It is *exact*: journal timestamps are
 //! monotonic offsets serialized as whole seconds plus subsecond
 //! nanoseconds, so a decoded journal compares equal — `Duration` and
 //! all — to the one that was encoded. Floats travel as raw IEEE-754
-//! bits for the same reason. Decoding is an untrusted-input path
-//! (the file may be truncated or bit-flipped in ways the store's CRC
-//! already rejects, but defense in depth is cheap): every decoder
-//! returns a typed error or `None`, never panics, and never allocates
-//! more than the input's own length.
+//! bits for the same reason. Closed vocabularies (backends, stages,
+//! fallbacks, budget dimensions, fault kinds, store operations,
+//! kill-points, `.qubo` token kinds) travel as one tag byte each; a
+//! tag past the last variant is corruption. Decoding is an
+//! untrusted-input path (the file may be truncated or bit-flipped in
+//! ways the store's CRC already rejects, but defense in depth is
+//! cheap): every decoder returns a typed error or `None`, never
+//! panics, and never allocates more than the input's own length.
 
+use crate::backend::BackendId;
+use crate::budget::BudgetDim;
 use crate::error::{ExecError, FaultKind};
-use crate::journal::{JournalEvent, JournalKind, RunJournal};
+use crate::journal::{Fallback, JournalEvent, JournalKind, RunJournal};
+use crate::stage::Stage;
 use nck_anneal::{AnnealError, AnnealSample};
 use nck_cancel::{CancelToken, Checkpointer};
 use nck_circuit::{NmState, QaoaError};
 use nck_classical::Incumbent;
 use nck_compile::CompileError;
-use nck_qubo::QuboIoError;
-use nck_store::{Recovered, RunStore, StoreError};
+use nck_qubo::{QuboIoError, TokenKind};
+use nck_store::{KillPoint, Recovered, RunStore, StoreError, StoreOp};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -39,52 +46,65 @@ use std::time::Duration;
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 16;
 
 // ---------------------------------------------------------------------
-// Primitive codec
+// Codec
 // ---------------------------------------------------------------------
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+/// One wire shape per type: `put` appends the encoding, `read`
+/// decodes it from untrusted bytes.
+pub(crate) trait Codec: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError>;
+
+    /// The elements of a sequence, after its length prefix. Bytes
+    /// override the pair with one copy: checkpoint payloads are tens
+    /// of kilobytes, and a byte-at-a-time loop is ~30× slower.
+    fn put_items(items: &[Self], out: &mut Vec<u8>) {
+        for x in items {
+            x.put(out);
+        }
+    }
+    fn read_items(n: usize, r: &mut Reader<'_>) -> Result<Vec<Self>, StoreError> {
+        (0..n).map(|_| r.get()).collect()
+    }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Append each value's encoding, in order.
+macro_rules! put {
+    ($out:expr; $($v:expr),+ $(,)?) => {{
+        $( $v.put($out); )+
+    }};
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Encode one value.
+pub(crate) fn encode<T: Codec>(v: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    v.put(&mut out);
+    out
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
+/// Decode one value that must span all of `buf`.
+fn decode_exact<T: Codec>(buf: &[u8]) -> Result<T, StoreError> {
+    let mut r = Reader { buf, pos: 0 };
+    let v = T::read(&mut r)?;
+    r.finish()?;
+    Ok(v)
 }
 
-fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
-    put_u64(out, v.len() as u64);
-    out.extend_from_slice(v);
+/// Decode a backend checkpoint payload; `None` on any malformed
+/// payload (the backend then starts the job from scratch).
+pub(crate) fn decode<T: Codec>(buf: &[u8]) -> Option<T> {
+    decode_exact(buf).ok()
 }
 
-fn put_str(out: &mut Vec<u8>, v: &str) {
-    put_bytes(out, v.as_bytes());
-}
-
-fn put_duration(out: &mut Vec<u8>, d: Duration) {
-    put_u64(out, d.as_secs());
-    put_u32(out, d.subsec_nanos());
-}
-
-/// Bounded little-endian reader over an untrusted byte slice. Every
-/// read is range-checked; a short or malformed buffer yields a typed
+/// Bounded reader over an untrusted byte slice. Every read is
+/// range-checked; a short or malformed buffer yields a typed
 /// [`StoreError::Corrupt`], never a panic.
-struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
     fn corrupt(&self, reason: &str) -> StoreError {
         StoreError::Corrupt {
             path: "<record>".to_string(),
@@ -103,61 +123,14 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
+        let mut a = [0; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
     }
 
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn usize(&mut self) -> Result<usize, StoreError> {
-        usize::try_from(self.u64()?).map_err(|_| self.corrupt("count exceeds usize"))
-    }
-
-    fn f64(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A length-prefixed byte string. The length is validated against
-    /// the bytes actually present, so a flipped length field cannot
-    /// trigger a huge allocation.
-    fn bytes(&mut self) -> Result<&'a [u8], StoreError> {
-        let n = self.usize()?;
-        if n > self.buf.len().saturating_sub(self.pos) {
-            return Err(self.corrupt("length prefix exceeds record"));
-        }
-        self.take(n)
-    }
-
-    fn string(&mut self) -> Result<String, StoreError> {
-        let b = self.bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| self.corrupt("invalid utf-8"))
-    }
-
-    /// A `&'static str` that round-trips exactly: known vocabulary
-    /// strings (backend names, stages, budget dimensions, …) decode to
-    /// the same static, and the rare unknown string is leaked once —
-    /// journals are finite and decode happens once per resume.
-    fn static_str(&mut self) -> Result<&'static str, StoreError> {
-        let b = self.bytes()?;
-        let s = std::str::from_utf8(b).map_err(|_| self.corrupt("invalid utf-8"))?;
-        Ok(intern(s))
-    }
-
-    fn duration(&mut self) -> Result<Duration, StoreError> {
-        let secs = self.u64()?;
-        let nanos = self.u32()?;
-        if nanos >= 1_000_000_000 {
-            return Err(self.corrupt("subsecond nanoseconds out of range"));
-        }
-        Ok(Duration::new(secs, nanos))
+    fn get<T: Codec>(&mut self) -> Result<T, StoreError> {
+        T::read(self)
     }
 
     fn finish(&self) -> Result<(), StoreError> {
@@ -168,362 +141,371 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// The `&'static str` vocabulary the execution layer journals: backend
-/// and stage names, fallback labels, budget dimensions, store
-/// operations, kill-point names, `.qubo` token kinds. Unknown strings
-/// (future vocabulary decoded by an old binary) are leaked — bounded
-/// by the journal's own size, paid once per resume.
-fn intern(s: &str) -> &'static str {
-    const VOCAB: &[&str] = &[
-        // Backends + supervisor provenance.
-        "annealer",
-        "gate",
-        "grover",
-        "classical",
-        "supervisor",
-        // Pipeline stages.
-        "compile",
-        "embed",
-        "sample",
-        "decode",
-        "classify",
-        // Supervisor stages.
-        "breaker",
-        "budget",
-        "ladder",
-        "store",
-        // Fallback labels.
-        "clique embedding",
-        "analytic p=1 QAOA",
-        // Budget dimensions.
-        "attempts",
-        "samples",
-        "deadline",
-        "nodes",
-        // `.qubo` token kinds.
-        "offset",
-        "node count",
-        "index",
-        "value",
-        // Store operations and kill-point names.
-        "mkdir",
-        "open",
-        "create",
-        "read",
-        "write",
-        "sync",
-        "sync_dir",
-        "rename",
-        "remove",
-        "seek",
-        "set_len",
-        "append",
-        "snapshot",
-        "crash-before-fsync",
-        "crash-mid-frame",
-        "crash-between-snapshot-and-truncate",
-        "io-failure",
-    ];
-    for v in VOCAB {
-        if *v == s {
-            return v;
+impl Codec for u8 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(r.take(1)?[0])
+    }
+    fn put_items(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+    fn read_items(n: usize, r: &mut Reader<'_>) -> Result<Vec<u8>, StoreError> {
+        Ok(r.take(n)?.to_vec())
+    }
+}
+
+impl Codec for u32 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(u32::from_le_bytes(r.array()?))
+    }
+}
+
+impl Codec for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(u64::from_le_bytes(r.array()?))
+    }
+}
+
+impl Codec for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        usize::try_from(r.get::<u64>()?).map_err(|_| r.corrupt("count exceeds usize"))
+    }
+}
+
+impl Codec for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(f64::from_bits(r.get()?))
+    }
+}
+
+impl Codec for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        match r.get::<u8>()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(r.corrupt("flag out of range")),
         }
     }
-    Box::leak(s.to_string().into_boxed_str())
+}
+
+impl Codec for Duration {
+    fn put(&self, out: &mut Vec<u8>) {
+        put!(out; self.as_secs(), self.subsec_nanos());
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let secs = r.get()?;
+        let nanos = r.get()?;
+        if nanos >= 1_000_000_000 {
+            return Err(r.corrupt("subsecond nanoseconds out of range"));
+        }
+        Ok(Duration::new(secs, nanos))
+    }
+}
+
+impl Codec for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let n = r.get()?;
+        let b = r.take(n)?;
+        String::from_utf8(b.to_vec()).map_err(|_| r.corrupt("invalid utf-8"))
+    }
+}
+
+/// A length-prefixed sequence: the wire shape of `Vec<T>`.
+fn put_slice<T: Codec>(items: &[T], out: &mut Vec<u8>) {
+    items.len().put(out);
+    T::put_items(items, out);
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_slice(self, out);
+    }
+    /// Every element takes at least one byte, so a length prefix
+    /// beyond the bytes left is rejected before anything is allocated.
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let n: usize = r.get()?;
+        if n > r.buf.len().saturating_sub(r.pos) {
+            return Err(r.corrupt("length prefix exceeds record"));
+        }
+        T::read_items(n, r)
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => put!(out; 0u8),
+            Some(v) => put!(out; 1u8, v),
+        }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        match r.get::<u8>()? {
+            0 => Ok(None),
+            1 => Ok(Some(r.get()?)),
+            _ => Err(r.corrupt("option tag out of range")),
+        }
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        put!(out; self.0, self.1);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok((r.get()?, r.get()?))
+    }
+}
+
+/// Closed vocabularies travel as one tag byte: the variant's
+/// discriminant, which is its index in the type's list of variants.
+macro_rules! tag_codec {
+    ($($ty:ident = $all:expr),+ $(,)?) => {$(
+        impl Codec for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.push(*self as u8);
+            }
+            fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+                let tag = usize::from(r.get::<u8>()?);
+                $all.get(tag)
+                    .copied()
+                    .ok_or_else(|| r.corrupt(concat!("unknown ", stringify!($ty), " tag")))
+            }
+        }
+    )+};
+}
+
+tag_codec! {
+    BackendId = BackendId::ALL,
+    Stage = Stage::ALL,
+    Fallback = Fallback::ALL,
+    BudgetDim = BudgetDim::ALL,
+    FaultKind = FaultKind::ALL,
+    StoreOp = StoreOp::ALL,
+    KillPoint = KillPoint::all(),
+    TokenKind = TokenKind::ALL,
 }
 
 // ---------------------------------------------------------------------
 // Error codecs (exact round trip, so replayed journals compare equal)
 // ---------------------------------------------------------------------
 
-fn put_exec_error(out: &mut Vec<u8>, e: &ExecError) {
-    match e {
-        ExecError::Compile(ce) => {
-            put_u8(out, 0);
-            match ce {
-                CompileError::Unsatisfiable(what) => {
-                    put_u8(out, 0);
-                    put_str(out, what);
-                }
-                CompileError::NoQuboFound { ancillas_tried, shape } => {
-                    put_u8(out, 1);
-                    put_u32(out, *ancillas_tried);
-                    put_str(out, shape);
-                }
+impl Codec for ExecError {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            ExecError::Compile(e) => put!(out; 0u8, e),
+            ExecError::Anneal(e) => put!(out; 1u8, e),
+            ExecError::Qaoa(e) => put!(out; 2u8, e),
+            ExecError::Unsatisfiable => put!(out; 3u8),
+            ExecError::SoftUnsupported { num_soft } => put!(out; 4u8, num_soft),
+            ExecError::TooLarge { vars, limit } => put!(out; 5u8, vars, limit),
+            ExecError::NoCandidates => put!(out; 6u8),
+            ExecError::Cancelled { backend, stage } => put!(out; 7u8, backend, stage),
+            ExecError::Transient { backend, stage, kind, attempt } => {
+                put!(out; 8u8, backend, stage, kind, attempt)
             }
-        }
-        ExecError::Anneal(AnnealError::EmbeddingFailed { logical_vars, device_qubits }) => {
-            put_u8(out, 1);
-            put_u64(out, *logical_vars as u64);
-            put_u64(out, *device_qubits as u64);
-        }
-        ExecError::Qaoa(qe) => {
-            put_u8(out, 2);
-            match qe {
-                QaoaError::TooManyQubits { needed, available } => {
-                    put_u8(out, 0);
-                    put_u64(out, *needed as u64);
-                    put_u64(out, *available as u64);
-                }
-                QaoaError::TooLargeToSimulate { needed, sim_limit } => {
-                    put_u8(out, 1);
-                    put_u64(out, *needed as u64);
-                    put_u64(out, *sim_limit as u64);
-                }
-            }
-        }
-        ExecError::Unsatisfiable => put_u8(out, 3),
-        ExecError::SoftUnsupported { num_soft } => {
-            put_u8(out, 4);
-            put_u64(out, *num_soft as u64);
-        }
-        ExecError::TooLarge { vars, limit } => {
-            put_u8(out, 5);
-            put_u64(out, *vars as u64);
-            put_u64(out, *limit as u64);
-        }
-        ExecError::NoCandidates => put_u8(out, 6),
-        ExecError::Cancelled { backend, stage } => {
-            put_u8(out, 7);
-            put_str(out, backend);
-            put_str(out, stage);
-        }
-        ExecError::Transient { backend, stage, kind, attempt } => {
-            put_u8(out, 8);
-            put_str(out, backend);
-            put_str(out, stage);
-            put_u8(
-                out,
-                match kind {
-                    FaultKind::Injected => 0,
-                    FaultKind::ChainBreakStorm => 1,
-                },
-            );
-            put_u32(out, *attempt);
-        }
-        ExecError::BreakerOpen { backend } => {
-            put_u8(out, 9);
-            put_str(out, backend);
-        }
-        ExecError::BudgetExhausted { what } => {
-            put_u8(out, 10);
-            put_str(out, what);
-        }
-        ExecError::Store(se) => {
-            put_u8(out, 11);
-            put_store_error(out, se);
-        }
-        ExecError::QuboIo(qe) => {
-            put_u8(out, 12);
-            put_qubo_io_error(out, qe);
-        }
-        ExecError::AlreadyFinished { dir } => {
-            put_u8(out, 13);
-            put_str(out, dir);
+            ExecError::BreakerOpen { backend } => put!(out; 9u8, backend),
+            ExecError::BudgetExhausted { what } => put!(out; 10u8, what),
+            ExecError::Store(e) => put!(out; 11u8, e),
+            ExecError::QuboIo(e) => put!(out; 12u8, e),
+            ExecError::AlreadyFinished { dir } => put!(out; 13u8, dir),
         }
     }
-}
-
-fn read_exec_error(r: &mut Reader<'_>) -> Result<ExecError, StoreError> {
-    Ok(match r.u8()? {
-        0 => ExecError::Compile(match r.u8()? {
-            0 => CompileError::Unsatisfiable(r.string()?),
-            1 => CompileError::NoQuboFound { ancillas_tried: r.u32()?, shape: r.string()? },
-            _ => return Err(r.corrupt("unknown compile error tag")),
-        }),
-        1 => ExecError::Anneal(AnnealError::EmbeddingFailed {
-            logical_vars: r.usize()?,
-            device_qubits: r.usize()?,
-        }),
-        2 => ExecError::Qaoa(match r.u8()? {
-            0 => QaoaError::TooManyQubits { needed: r.usize()?, available: r.usize()? },
-            1 => QaoaError::TooLargeToSimulate { needed: r.usize()?, sim_limit: r.usize()? },
-            _ => return Err(r.corrupt("unknown qaoa error tag")),
-        }),
-        3 => ExecError::Unsatisfiable,
-        4 => ExecError::SoftUnsupported { num_soft: r.usize()? },
-        5 => ExecError::TooLarge { vars: r.usize()?, limit: r.usize()? },
-        6 => ExecError::NoCandidates,
-        7 => ExecError::Cancelled { backend: r.static_str()?, stage: r.static_str()? },
-        8 => ExecError::Transient {
-            backend: r.static_str()?,
-            stage: r.static_str()?,
-            kind: match r.u8()? {
-                0 => FaultKind::Injected,
-                1 => FaultKind::ChainBreakStorm,
-                _ => return Err(r.corrupt("unknown fault kind tag")),
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(match r.get::<u8>()? {
+            0 => ExecError::Compile(r.get()?),
+            1 => ExecError::Anneal(r.get()?),
+            2 => ExecError::Qaoa(r.get()?),
+            3 => ExecError::Unsatisfiable,
+            4 => ExecError::SoftUnsupported { num_soft: r.get()? },
+            5 => ExecError::TooLarge { vars: r.get()?, limit: r.get()? },
+            6 => ExecError::NoCandidates,
+            7 => ExecError::Cancelled { backend: r.get()?, stage: r.get()? },
+            8 => ExecError::Transient {
+                backend: r.get()?,
+                stage: r.get()?,
+                kind: r.get()?,
+                attempt: r.get()?,
             },
-            attempt: r.u32()?,
-        },
-        9 => ExecError::BreakerOpen { backend: r.static_str()? },
-        10 => ExecError::BudgetExhausted { what: r.static_str()? },
-        11 => ExecError::Store(read_store_error(r)?),
-        12 => ExecError::QuboIo(read_qubo_io_error(r)?),
-        13 => ExecError::AlreadyFinished { dir: r.string()? },
-        _ => return Err(r.corrupt("unknown exec error tag")),
-    })
-}
-
-fn put_store_error(out: &mut Vec<u8>, e: &StoreError) {
-    match e {
-        StoreError::Io { op, path, kind } => {
-            put_u8(out, 0);
-            put_str(out, op);
-            put_str(out, path);
-            put_str(out, kind);
-        }
-        StoreError::Corrupt { path, offset, reason } => {
-            put_u8(out, 1);
-            put_str(out, path);
-            put_u64(out, *offset);
-            put_str(out, reason);
-        }
-        StoreError::Killed { point } => {
-            put_u8(out, 2);
-            put_str(out, point);
-        }
-        StoreError::Dead => put_u8(out, 3),
-        StoreError::NotEmpty { path } => {
-            put_u8(out, 4);
-            put_str(out, path);
-        }
-        StoreError::NoRun { path } => {
-            put_u8(out, 5);
-            put_str(out, path);
-        }
+            9 => ExecError::BreakerOpen { backend: r.get()? },
+            10 => ExecError::BudgetExhausted { what: r.get()? },
+            11 => ExecError::Store(r.get()?),
+            12 => ExecError::QuboIo(r.get()?),
+            13 => ExecError::AlreadyFinished { dir: r.get()? },
+            _ => return Err(r.corrupt("unknown exec error tag")),
+        })
     }
 }
 
-fn read_store_error(r: &mut Reader<'_>) -> Result<StoreError, StoreError> {
-    Ok(match r.u8()? {
-        0 => StoreError::Io { op: r.static_str()?, path: r.string()?, kind: r.string()? },
-        1 => StoreError::Corrupt { path: r.string()?, offset: r.u64()?, reason: r.string()? },
-        2 => StoreError::Killed { point: r.static_str()? },
-        3 => StoreError::Dead,
-        4 => StoreError::NotEmpty { path: r.string()? },
-        5 => StoreError::NoRun { path: r.string()? },
-        _ => return Err(r.corrupt("unknown store error tag")),
-    })
-}
-
-fn put_qubo_io_error(out: &mut Vec<u8>, e: &QuboIoError) {
-    match e {
-        QuboIoError::MissingHeader => put_u8(out, 0),
-        QuboIoError::MalformedHeader { line } => {
-            put_u8(out, 1);
-            put_u64(out, *line as u64);
+impl Codec for CompileError {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            CompileError::Unsatisfiable(what) => put!(out; 0u8, what),
+            CompileError::NoQuboFound { ancillas_tried, shape } => {
+                put!(out; 1u8, ancillas_tried, shape)
+            }
         }
-        QuboIoError::BadNumber { line, what, token } => {
-            put_u8(out, 2);
-            put_u64(out, *line as u64);
-            put_str(out, what);
-            put_str(out, token);
-        }
-        QuboIoError::TermBeforeHeader { line } => {
-            put_u8(out, 3);
-            put_u64(out, *line as u64);
-        }
-        QuboIoError::MalformedTerm { line } => {
-            put_u8(out, 4);
-            put_u64(out, *line as u64);
-        }
-        QuboIoError::IndexOutOfRange { line, index, declared } => {
-            put_u8(out, 5);
-            put_u64(out, *line as u64);
-            put_u64(out, *index as u64);
-            put_u64(out, *declared as u64);
-        }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(match r.get::<u8>()? {
+            0 => CompileError::Unsatisfiable(r.get()?),
+            1 => CompileError::NoQuboFound { ancillas_tried: r.get()?, shape: r.get()? },
+            _ => return Err(r.corrupt("unknown compile error tag")),
+        })
     }
 }
 
-fn read_qubo_io_error(r: &mut Reader<'_>) -> Result<QuboIoError, StoreError> {
-    Ok(match r.u8()? {
-        0 => QuboIoError::MissingHeader,
-        1 => QuboIoError::MalformedHeader { line: r.usize()? },
-        2 => QuboIoError::BadNumber { line: r.usize()?, what: r.static_str()?, token: r.string()? },
-        3 => QuboIoError::TermBeforeHeader { line: r.usize()? },
-        4 => QuboIoError::MalformedTerm { line: r.usize()? },
-        5 => QuboIoError::IndexOutOfRange {
-            line: r.usize()?,
-            index: r.usize()?,
-            declared: r.usize()?,
-        },
-        _ => return Err(r.corrupt("unknown qubo io error tag")),
-    })
+impl Codec for AnnealError {
+    fn put(&self, out: &mut Vec<u8>) {
+        let AnnealError::EmbeddingFailed { logical_vars, device_qubits } = self;
+        put!(out; logical_vars, device_qubits);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(AnnealError::EmbeddingFailed { logical_vars: r.get()?, device_qubits: r.get()? })
+    }
+}
+
+impl Codec for QaoaError {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            QaoaError::TooManyQubits { needed, available } => put!(out; 0u8, needed, available),
+            QaoaError::TooLargeToSimulate { needed, sim_limit } => {
+                put!(out; 1u8, needed, sim_limit)
+            }
+        }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(match r.get::<u8>()? {
+            0 => QaoaError::TooManyQubits { needed: r.get()?, available: r.get()? },
+            1 => QaoaError::TooLargeToSimulate { needed: r.get()?, sim_limit: r.get()? },
+            _ => return Err(r.corrupt("unknown qaoa error tag")),
+        })
+    }
+}
+
+impl Codec for StoreError {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            StoreError::Io { op, path, kind } => put!(out; 0u8, op, path, kind),
+            StoreError::Corrupt { path, offset, reason } => put!(out; 1u8, path, offset, reason),
+            StoreError::Killed { point } => put!(out; 2u8, point),
+            StoreError::Dead => put!(out; 3u8),
+            StoreError::NotEmpty { path } => put!(out; 4u8, path),
+            StoreError::NoRun { path } => put!(out; 5u8, path),
+        }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(match r.get::<u8>()? {
+            0 => StoreError::Io { op: r.get()?, path: r.get()?, kind: r.get()? },
+            1 => StoreError::Corrupt { path: r.get()?, offset: r.get()?, reason: r.get()? },
+            2 => StoreError::Killed { point: r.get()? },
+            3 => StoreError::Dead,
+            4 => StoreError::NotEmpty { path: r.get()? },
+            5 => StoreError::NoRun { path: r.get()? },
+            _ => return Err(r.corrupt("unknown store error tag")),
+        })
+    }
+}
+
+impl Codec for QuboIoError {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            QuboIoError::MissingHeader => put!(out; 0u8),
+            QuboIoError::MalformedHeader { line } => put!(out; 1u8, line),
+            QuboIoError::BadNumber { line, what, token } => put!(out; 2u8, line, what, token),
+            QuboIoError::TermBeforeHeader { line } => put!(out; 3u8, line),
+            QuboIoError::MalformedTerm { line } => put!(out; 4u8, line),
+            QuboIoError::IndexOutOfRange { line, index, declared } => {
+                put!(out; 5u8, line, index, declared)
+            }
+        }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(match r.get::<u8>()? {
+            0 => QuboIoError::MissingHeader,
+            1 => QuboIoError::MalformedHeader { line: r.get()? },
+            2 => QuboIoError::BadNumber { line: r.get()?, what: r.get()?, token: r.get()? },
+            3 => QuboIoError::TermBeforeHeader { line: r.get()? },
+            4 => QuboIoError::MalformedTerm { line: r.get()? },
+            5 => {
+                QuboIoError::IndexOutOfRange { line: r.get()?, index: r.get()?, declared: r.get()? }
+            }
+            _ => return Err(r.corrupt("unknown qubo io error tag")),
+        })
+    }
 }
 
 // ---------------------------------------------------------------------
 // Journal event codec
 // ---------------------------------------------------------------------
 
-fn put_journal_event(out: &mut Vec<u8>, e: &JournalEvent) {
-    put_duration(out, e.at);
-    put_str(out, e.backend);
-    put_u32(out, e.attempt);
-    match &e.kind {
-        JournalKind::AttemptStarted => put_u8(out, 0),
-        JournalKind::StageFailed { stage, error, suppressed } => {
-            put_u8(out, 1);
-            put_str(out, stage);
-            put_exec_error(out, error);
-            put_u8(out, u8::from(*suppressed));
-        }
-        JournalKind::FallbackTaken { what } => {
-            put_u8(out, 2);
-            put_str(out, what);
-        }
-        JournalKind::Retry { backoff } => {
-            put_u8(out, 3);
-            put_duration(out, *backoff);
-        }
-        JournalKind::BreakerOpened => put_u8(out, 4),
-        JournalKind::BreakerShortCircuit => put_u8(out, 5),
-        JournalKind::BreakerProbe => put_u8(out, 6),
-        JournalKind::RungExhausted { reason } => {
-            put_u8(out, 7);
-            put_str(out, reason);
-        }
-        JournalKind::LadderStep { from, to } => {
-            put_u8(out, 8);
-            put_str(out, from);
-            put_str(out, to);
-        }
-        JournalKind::PartialResult { candidates } => {
-            put_u8(out, 9);
-            put_u64(out, *candidates as u64);
-        }
-        JournalKind::Succeeded => put_u8(out, 10),
-        JournalKind::Failed { error } => {
-            put_u8(out, 11);
-            put_exec_error(out, error);
-        }
+impl Codec for JournalEvent {
+    fn put(&self, out: &mut Vec<u8>) {
+        put!(out; self.at, self.backend, self.attempt, self.kind);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(JournalEvent { at: r.get()?, backend: r.get()?, attempt: r.get()?, kind: r.get()? })
     }
 }
 
-fn read_journal_event(r: &mut Reader<'_>) -> Result<JournalEvent, StoreError> {
-    let at = r.duration()?;
-    let backend = r.static_str()?;
-    let attempt = r.u32()?;
-    let kind = match r.u8()? {
-        0 => JournalKind::AttemptStarted,
-        1 => JournalKind::StageFailed {
-            stage: r.static_str()?,
-            error: read_exec_error(r)?,
-            suppressed: r.u8()? != 0,
-        },
-        2 => JournalKind::FallbackTaken { what: r.static_str()? },
-        3 => JournalKind::Retry { backoff: r.duration()? },
-        4 => JournalKind::BreakerOpened,
-        5 => JournalKind::BreakerShortCircuit,
-        6 => JournalKind::BreakerProbe,
-        7 => JournalKind::RungExhausted { reason: r.string()? },
-        8 => JournalKind::LadderStep { from: r.static_str()?, to: r.static_str()? },
-        9 => JournalKind::PartialResult { candidates: r.usize()? },
-        10 => JournalKind::Succeeded,
-        11 => JournalKind::Failed { error: read_exec_error(r)? },
-        _ => return Err(r.corrupt("unknown journal kind tag")),
-    };
-    Ok(JournalEvent { at, backend, attempt, kind })
+impl Codec for JournalKind {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            JournalKind::AttemptStarted => put!(out; 0u8),
+            JournalKind::StageFailed { stage, error, suppressed } => {
+                put!(out; 1u8, stage, error, suppressed)
+            }
+            JournalKind::FallbackTaken { what } => put!(out; 2u8, what),
+            JournalKind::Retry { backoff } => put!(out; 3u8, backoff),
+            JournalKind::BreakerOpened => put!(out; 4u8),
+            JournalKind::BreakerShortCircuit => put!(out; 5u8),
+            JournalKind::BreakerProbe => put!(out; 6u8),
+            JournalKind::RungExhausted { reason } => put!(out; 7u8, reason),
+            JournalKind::LadderStep { from, to } => put!(out; 8u8, from, to),
+            JournalKind::PartialResult { candidates } => put!(out; 9u8, candidates),
+            JournalKind::Succeeded => put!(out; 10u8),
+            JournalKind::Failed { error } => put!(out; 11u8, error),
+        }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(match r.get::<u8>()? {
+            0 => JournalKind::AttemptStarted,
+            1 => {
+                JournalKind::StageFailed { stage: r.get()?, error: r.get()?, suppressed: r.get()? }
+            }
+            2 => JournalKind::FallbackTaken { what: r.get()? },
+            3 => JournalKind::Retry { backoff: r.get()? },
+            4 => JournalKind::BreakerOpened,
+            5 => JournalKind::BreakerShortCircuit,
+            6 => JournalKind::BreakerProbe,
+            7 => JournalKind::RungExhausted { reason: r.get()? },
+            8 => JournalKind::LadderStep { from: r.get()?, to: r.get()? },
+            9 => JournalKind::PartialResult { candidates: r.get()? },
+            10 => JournalKind::Succeeded,
+            11 => JournalKind::Failed { error: r.get()? },
+            _ => return Err(r.corrupt("unknown journal kind tag")),
+        })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -569,63 +551,44 @@ pub enum Record {
     },
 }
 
-/// Encode one [`Record`] for the WAL.
-pub fn encode_record(rec: &Record) -> Vec<u8> {
-    let mut out = Vec::new();
-    match rec {
-        Record::Journal(e) => {
-            put_u8(&mut out, 1);
-            put_journal_event(&mut out, e);
-        }
-        Record::Progress { rung, rung_attempt, global_attempt, samples_used } => {
-            put_u8(&mut out, 2);
-            put_u32(&mut out, *rung);
-            put_u32(&mut out, *rung_attempt);
-            put_u32(&mut out, *global_attempt);
-            put_u64(&mut out, *samples_used);
-        }
-        Record::RungCompleted { rung } => {
-            put_u8(&mut out, 3);
-            put_u32(&mut out, *rung);
-        }
-        Record::Checkpoint { tag, payload } => {
-            put_u8(&mut out, 4);
-            put_str(&mut out, tag);
-            put_bytes(&mut out, payload);
-        }
-        Record::Finished { success } => {
-            put_u8(&mut out, 5);
-            put_u8(&mut out, u8::from(*success));
+impl Codec for Record {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Record::Journal(e) => put!(out; 1u8, e),
+            Record::Progress { rung, rung_attempt, global_attempt, samples_used } => {
+                put!(out; 2u8, rung, rung_attempt, global_attempt, samples_used)
+            }
+            Record::RungCompleted { rung } => put!(out; 3u8, rung),
+            Record::Checkpoint { tag, payload } => put!(out; 4u8, tag, payload),
+            Record::Finished { success } => put!(out; 5u8, success),
         }
     }
-    out
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(match r.get::<u8>()? {
+            1 => Record::Journal(r.get()?),
+            2 => Record::Progress {
+                rung: r.get()?,
+                rung_attempt: r.get()?,
+                global_attempt: r.get()?,
+                samples_used: r.get()?,
+            },
+            3 => Record::RungCompleted { rung: r.get()? },
+            4 => Record::Checkpoint { tag: r.get()?, payload: r.get()? },
+            5 => Record::Finished { success: r.get()? },
+            _ => return Err(r.corrupt("unknown record tag")),
+        })
+    }
+}
+
+/// Encode one [`Record`] for the WAL.
+pub fn encode_record(rec: &Record) -> Vec<u8> {
+    encode(rec)
 }
 
 /// Decode one WAL record. Typed error — never a panic — on any
 /// malformed input.
 pub fn decode_record(buf: &[u8]) -> Result<Record, StoreError> {
-    let mut r = Reader::new(buf);
-    let rec = match r.u8()? {
-        1 => Record::Journal(read_journal_event(&mut r)?),
-        2 => Record::Progress {
-            rung: r.u32()?,
-            rung_attempt: r.u32()?,
-            global_attempt: r.u32()?,
-            samples_used: r.u64()?,
-        },
-        3 => Record::RungCompleted { rung: r.u32()? },
-        4 => Record::Checkpoint { tag: r.string()?, payload: r.bytes()?.to_vec() },
-        5 => Record::Finished {
-            success: match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(r.corrupt("finished flag out of range")),
-            },
-        },
-        _ => return Err(r.corrupt("unknown record tag")),
-    };
-    r.finish()?;
-    Ok(rec)
+    decode_exact(buf)
 }
 
 // ---------------------------------------------------------------------
@@ -694,57 +657,12 @@ impl RecoveredRun {
     /// snapshotted: snapshots are taken at rung boundaries and at the
     /// end of the run, where in-rung solver state is dead weight.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_duration(&mut out, self.elapsed);
-        put_u32(&mut out, self.completed_rungs);
-        put_u32(&mut out, self.rung_attempt);
-        put_u32(&mut out, self.global_attempt);
-        put_u64(&mut out, self.samples_used);
-        put_u8(
-            &mut out,
-            match self.finished {
-                None => 0,
-                Some(false) => 1,
-                Some(true) => 2,
-            },
-        );
-        put_u64(&mut out, self.journal.events.len() as u64);
-        for e in &self.journal.events {
-            put_journal_event(&mut out, e);
-        }
-        out
+        encode(self)
     }
 
     /// Decode a snapshot produced by [`encode`](RecoveredRun::encode).
     pub fn decode(buf: &[u8]) -> Result<RecoveredRun, StoreError> {
-        let mut r = Reader::new(buf);
-        let elapsed = r.duration()?;
-        let completed_rungs = r.u32()?;
-        let rung_attempt = r.u32()?;
-        let global_attempt = r.u32()?;
-        let samples_used = r.u64()?;
-        let finished = match r.u8()? {
-            0 => None,
-            1 => Some(false),
-            2 => Some(true),
-            _ => return Err(r.corrupt("finished flag out of range")),
-        };
-        let n = r.usize()?;
-        let mut journal = RunJournal::default();
-        for _ in 0..n {
-            journal.events.push(read_journal_event(&mut r)?);
-        }
-        r.finish()?;
-        Ok(RecoveredRun {
-            journal,
-            elapsed,
-            completed_rungs,
-            rung_attempt,
-            global_attempt,
-            samples_used,
-            checkpoints: HashMap::new(),
-            finished,
-        })
+        decode_exact(buf)
     }
 
     /// Rebuild the run state from what the store recovered on open:
@@ -759,6 +677,32 @@ impl RecoveredRun {
             run.apply(decode_record(rec)?);
         }
         Ok(run)
+    }
+}
+
+impl Codec for RecoveredRun {
+    fn put(&self, out: &mut Vec<u8>) {
+        put!(out;
+            self.elapsed,
+            self.completed_rungs,
+            self.rung_attempt,
+            self.global_attempt,
+            self.samples_used,
+            self.finished,
+            self.journal.events,
+        );
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(RecoveredRun {
+            elapsed: r.get()?,
+            completed_rungs: r.get()?,
+            rung_attempt: r.get()?,
+            global_attempt: r.get()?,
+            samples_used: r.get()?,
+            finished: r.get()?,
+            journal: RunJournal { events: r.get()? },
+            checkpoints: HashMap::new(),
+        })
     }
 }
 
@@ -872,128 +816,46 @@ impl Checkpointer for DurableRun {
 // Backend checkpoint payloads
 // ---------------------------------------------------------------------
 
-/// Encode annealer progress: reads completed plus every decoded sample
-/// so far, in generation order.
-pub fn encode_anneal_progress(reads_done: usize, samples: &[AnnealSample]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, reads_done as u64);
-    put_u64(&mut out, samples.len() as u64);
-    for s in samples {
-        put_u64(&mut out, s.assignment.len() as u64);
-        for &b in &s.assignment {
-            put_u8(&mut out, u8::from(b));
-        }
-        put_f64(&mut out, s.energy);
-        put_u64(&mut out, s.broken_chains as u64);
+impl Codec for AnnealSample {
+    fn put(&self, out: &mut Vec<u8>) {
+        put!(out; self.assignment, self.energy, self.broken_chains);
     }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(AnnealSample { assignment: r.get()?, energy: r.get()?, broken_chains: r.get()? })
+    }
+}
+
+/// Encode annealer progress — reads completed plus every decoded
+/// sample so far, in generation order — as the wire shape of
+/// `(usize, Vec<AnnealSample>)`, without copying the samples into a
+/// vector first.
+pub(crate) fn encode_anneal_progress(reads_done: usize, samples: &[AnnealSample]) -> Vec<u8> {
+    let mut out = encode(&reads_done);
+    put_slice(samples, &mut out);
     out
 }
 
-/// Decode annealer progress; `None` on any malformed payload (the
-/// backend then starts the job from scratch).
-pub fn decode_anneal_progress(buf: &[u8]) -> Option<(usize, Vec<AnnealSample>)> {
-    let mut r = Reader::new(buf);
-    let inner = |r: &mut Reader<'_>| -> Result<(usize, Vec<AnnealSample>), StoreError> {
-        let reads_done = r.usize()?;
-        let n = r.usize()?;
-        let mut samples = Vec::new();
-        for _ in 0..n {
-            let len = r.usize()?;
-            if len > r.buf.len().saturating_sub(r.pos) {
-                return Err(r.corrupt("assignment length exceeds payload"));
-            }
-            let mut assignment = Vec::with_capacity(len);
-            for _ in 0..len {
-                assignment.push(r.u8()? != 0);
-            }
-            let energy = r.f64()?;
-            let broken_chains = r.usize()?;
-            samples.push(AnnealSample { assignment, energy, broken_chains });
-        }
-        r.finish()?;
-        Ok((reads_done, samples))
-    };
-    inner(&mut r).ok()
-}
-
-/// Encode a Nelder–Mead optimizer state (the QAOA backend's
-/// checkpoint).
-pub fn encode_nm_state(state: &NmState) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, state.evaluations as u64);
-    put_u64(&mut out, state.iterations as u64);
-    put_u64(&mut out, state.simplex.len() as u64);
-    for (x, fx) in &state.simplex {
-        put_u64(&mut out, x.len() as u64);
-        for &v in x {
-            put_f64(&mut out, v);
-        }
-        put_f64(&mut out, *fx);
+impl Codec for NmState {
+    fn put(&self, out: &mut Vec<u8>) {
+        put!(out; self.simplex, self.evaluations, self.iterations);
     }
-    out
-}
-
-/// Decode a Nelder–Mead optimizer state; `None` on any malformed
-/// payload.
-pub fn decode_nm_state(buf: &[u8]) -> Option<NmState> {
-    let mut r = Reader::new(buf);
-    let inner = |r: &mut Reader<'_>| -> Result<NmState, StoreError> {
-        let evaluations = r.usize()?;
-        let iterations = r.usize()?;
-        let n = r.usize()?;
-        let mut simplex = Vec::new();
-        for _ in 0..n {
-            let d = r.usize()?;
-            if d.saturating_mul(8) > r.buf.len().saturating_sub(r.pos) {
-                return Err(r.corrupt("simplex vertex exceeds payload"));
-            }
-            let mut x = Vec::with_capacity(d);
-            for _ in 0..d {
-                x.push(r.f64()?);
-            }
-            let fx = r.f64()?;
-            simplex.push((x, fx));
-        }
-        r.finish()?;
-        Ok(NmState { simplex, evaluations, iterations })
-    };
-    inner(&mut r).ok()
-}
-
-/// Encode a branch-and-bound incumbent (the classical backend's
-/// checkpoint).
-pub fn encode_incumbent(inc: &Incumbent) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, inc.assignment.len() as u64);
-    for &b in &inc.assignment {
-        put_u8(&mut out, u8::from(b));
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(NmState { simplex: r.get()?, evaluations: r.get()?, iterations: r.get()? })
     }
-    put_u64(&mut out, inc.soft_satisfied as u64);
-    put_u64(&mut out, inc.soft_weight);
-    put_u64(&mut out, inc.violated_weight);
-    out
 }
 
-/// Decode a branch-and-bound incumbent; `None` on any malformed
-/// payload.
-pub fn decode_incumbent(buf: &[u8]) -> Option<Incumbent> {
-    let mut r = Reader::new(buf);
-    let inner = |r: &mut Reader<'_>| -> Result<Incumbent, StoreError> {
-        let len = r.usize()?;
-        if len > r.buf.len().saturating_sub(r.pos) {
-            return Err(r.corrupt("assignment length exceeds payload"));
-        }
-        let mut assignment = Vec::with_capacity(len);
-        for _ in 0..len {
-            assignment.push(r.u8()? != 0);
-        }
-        let soft_satisfied = r.usize()?;
-        let soft_weight = r.u64()?;
-        let violated_weight = r.u64()?;
-        r.finish()?;
-        Ok(Incumbent { assignment, soft_satisfied, soft_weight, violated_weight })
-    };
-    inner(&mut r).ok()
+impl Codec for Incumbent {
+    fn put(&self, out: &mut Vec<u8>) {
+        put!(out; self.assignment, self.soft_satisfied, self.soft_weight, self.violated_weight);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(Incumbent {
+            assignment: r.get()?,
+            soft_satisfied: r.get()?,
+            soft_weight: r.get()?,
+            violated_weight: r.get()?,
+        })
+    }
 }
 
 /// Progress of the Grover backend's BBHT schedule.
@@ -1011,33 +873,20 @@ pub struct GroverProgress {
     pub success_probability: f64,
 }
 
-/// Encode the Grover backend's BBHT schedule position.
-pub fn encode_grover_progress(p: &GroverProgress) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, p.next_guess);
-    put_u64(&mut out, p.measurements);
-    put_u64(&mut out, p.total_iterations);
-    put_f64(&mut out, p.m);
-    put_f64(&mut out, p.success_probability);
-    out
-}
-
-/// Decode the Grover backend's BBHT schedule position; `None` on any
-/// malformed payload.
-pub fn decode_grover_progress(buf: &[u8]) -> Option<GroverProgress> {
-    let mut r = Reader::new(buf);
-    let inner = |r: &mut Reader<'_>| -> Result<GroverProgress, StoreError> {
-        let p = GroverProgress {
-            next_guess: r.u64()?,
-            measurements: r.u64()?,
-            total_iterations: r.u64()?,
-            m: r.f64()?,
-            success_probability: r.f64()?,
-        };
-        r.finish()?;
-        Ok(p)
-    };
-    inner(&mut r).ok()
+impl Codec for GroverProgress {
+    fn put(&self, out: &mut Vec<u8>) {
+        put!(out; self.next_guess, self.measurements, self.total_iterations, self.m,
+            self.success_probability);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(GroverProgress {
+            next_guess: r.get()?,
+            measurements: r.get()?,
+            total_iterations: r.get()?,
+            m: r.get()?,
+            success_probability: r.get()?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1049,19 +898,19 @@ mod tests {
         vec![
             JournalEvent {
                 at: Duration::new(3, 999_999_999),
-                backend: "annealer",
+                backend: BackendId::Annealer,
                 attempt: 0,
                 kind: JournalKind::AttemptStarted,
             },
             JournalEvent {
                 at: Duration::from_micros(1),
-                backend: "gate",
+                backend: BackendId::Gate,
                 attempt: 2,
                 kind: JournalKind::StageFailed {
-                    stage: "sample",
+                    stage: Stage::Sample,
                     error: ExecError::Transient {
-                        backend: "gate",
-                        stage: "sample",
+                        backend: BackendId::Gate,
+                        stage: Stage::Sample,
                         kind: FaultKind::ChainBreakStorm,
                         attempt: 2,
                     },
@@ -1070,7 +919,7 @@ mod tests {
             },
             JournalEvent {
                 at: Duration::ZERO,
-                backend: "supervisor",
+                backend: BackendId::Supervisor,
                 attempt: 7,
                 kind: JournalKind::Failed {
                     error: ExecError::Store(StoreError::Corrupt {
@@ -1082,15 +931,15 @@ mod tests {
             },
             JournalEvent {
                 at: Duration::from_millis(5),
-                backend: "classical",
+                backend: BackendId::Classical,
                 attempt: 1,
                 kind: JournalKind::RungExhausted { reason: "permanent error: x".into() },
             },
             JournalEvent {
                 at: Duration::from_secs(1),
-                backend: "grover",
+                backend: BackendId::Grover,
                 attempt: 0,
-                kind: JournalKind::LadderStep { from: "grover", to: "classical" },
+                kind: JournalKind::LadderStep { from: BackendId::Grover, to: BackendId::Classical },
             },
         ]
     }
@@ -1126,40 +975,144 @@ mod tests {
             ExecError::SoftUnsupported { num_soft: 3 },
             ExecError::TooLarge { vars: 30, limit: 20 },
             ExecError::NoCandidates,
-            ExecError::Cancelled { backend: "annealer", stage: "embed" },
+            ExecError::Cancelled { backend: BackendId::Annealer, stage: Stage::Embed },
             ExecError::Transient {
-                backend: "classical",
-                stage: "sample",
+                backend: BackendId::Classical,
+                stage: Stage::Sample,
                 kind: FaultKind::Injected,
                 attempt: 5,
             },
-            ExecError::BreakerOpen { backend: "gate" },
-            ExecError::BudgetExhausted { what: "deadline" },
+            ExecError::BreakerOpen { backend: BackendId::Gate },
+            ExecError::BudgetExhausted { what: BudgetDim::Deadline },
             ExecError::Store(StoreError::Io {
-                op: "append",
+                op: StoreOp::Fsync,
                 path: "/x/wal.log".into(),
                 kind: "permission denied".into(),
             }),
-            ExecError::Store(StoreError::Killed { point: "crash-mid-frame" }),
+            ExecError::Store(StoreError::Killed { point: KillPoint::CrashMidFrame }),
             ExecError::Store(StoreError::Dead),
             ExecError::Store(StoreError::NotEmpty { path: "/x".into() }),
             ExecError::Store(StoreError::NoRun { path: "/y".into() }),
             ExecError::QuboIo(QuboIoError::MissingHeader),
             ExecError::QuboIo(QuboIoError::BadNumber {
                 line: 3,
-                what: "value",
+                what: TokenKind::Value,
                 token: "zzz".into(),
             }),
             ExecError::QuboIo(QuboIoError::IndexOutOfRange { line: 2, index: 9, declared: 4 }),
             ExecError::AlreadyFinished { dir: "/runs/a".into() },
         ];
         for e in errors {
-            let mut bytes = Vec::new();
-            put_exec_error(&mut bytes, &e);
-            let mut r = Reader::new(&bytes);
-            assert_eq!(read_exec_error(&mut r).unwrap(), e, "{e:?}");
-            r.finish().unwrap();
+            assert_eq!(decode_exact::<ExecError>(&encode(&e)).unwrap(), e, "{e:?}");
         }
+    }
+
+    /// Round-trips `wrap(v)` for each of `variants` (listed in
+    /// declaration order) through the WAL record codec, then checks
+    /// that the tag byte one past the last variant is corruption.
+    fn check_closed_set<T: Copy>(variants: &[T], wrap: impl Fn(T) -> Record) {
+        let bytes: Vec<Vec<u8>> = variants
+            .iter()
+            .map(|&v| {
+                let rec = wrap(v);
+                let b = encode_record(&rec);
+                assert_eq!(decode_record(&b).unwrap(), rec, "{rec:?}");
+                b
+            })
+            .collect();
+        let (first, last) = (&bytes[0], &bytes[variants.len() - 1]);
+        let tag = (0..last.len()).find(|&i| first[i] != last[i]).unwrap();
+        assert_eq!(usize::from(last[tag]), variants.len() - 1);
+        let mut past = last.clone();
+        past[tag] += 1;
+        let err = decode_record(&past).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn every_closed_set_variant_round_trips_and_one_past_is_corrupt() {
+        let ev = |backend, kind| {
+            Record::Journal(JournalEvent {
+                at: Duration::from_millis(3),
+                backend,
+                attempt: 1,
+                kind,
+            })
+        };
+        let failed = |error| ev(BackendId::Supervisor, JournalKind::Failed { error });
+        check_closed_set(
+            &[
+                BackendId::Annealer,
+                BackendId::Gate,
+                BackendId::Grover,
+                BackendId::Classical,
+                BackendId::Supervisor,
+            ],
+            |b| ev(b, JournalKind::AttemptStarted),
+        );
+        check_closed_set(
+            &[
+                Stage::Compile,
+                Stage::Embed,
+                Stage::Sample,
+                Stage::Decode,
+                Stage::Classify,
+                Stage::Breaker,
+                Stage::Budget,
+                Stage::Ladder,
+                Stage::Store,
+            ],
+            |stage| {
+                let error = ExecError::NoCandidates;
+                ev(BackendId::Gate, JournalKind::StageFailed { stage, error, suppressed: false })
+            },
+        );
+        check_closed_set(&[Fallback::CliqueEmbedding, Fallback::AnalyticP1], |what| {
+            ev(BackendId::Annealer, JournalKind::FallbackTaken { what })
+        });
+        check_closed_set(
+            &[BudgetDim::Attempts, BudgetDim::Samples, BudgetDim::Deadline, BudgetDim::Nodes],
+            |what| failed(ExecError::BudgetExhausted { what }),
+        );
+        check_closed_set(&[FaultKind::Injected, FaultKind::ChainBreakStorm], |kind| {
+            let (backend, stage) = (BackendId::Gate, Stage::Sample);
+            failed(ExecError::Transient { backend, stage, kind, attempt: 0 })
+        });
+        // Every operation the store emits, each a real I/O error path.
+        check_closed_set(
+            &[
+                StoreOp::Mkdir,
+                StoreOp::Open,
+                StoreOp::OpenDir,
+                StoreOp::Read,
+                StoreOp::Write,
+                StoreOp::Seek,
+                StoreOp::Truncate,
+                StoreOp::Fsync,
+                StoreOp::SyncDir,
+                StoreOp::Rename,
+                StoreOp::Remove,
+            ],
+            |op| {
+                let (path, kind) = ("/x/wal.log".to_string(), "permission denied".to_string());
+                failed(ExecError::Store(StoreError::Io { op, path, kind }))
+            },
+        );
+        check_closed_set(
+            &[
+                KillPoint::CrashBeforeFsync,
+                KillPoint::CrashMidFrame,
+                KillPoint::CrashBetweenSnapshotAndTruncate,
+            ],
+            |point| failed(ExecError::Store(StoreError::Killed { point })),
+        );
+        check_closed_set(
+            &[TokenKind::Offset, TokenKind::NodeCount, TokenKind::Index, TokenKind::Value],
+            |what| {
+                let token = "zzz".to_string();
+                failed(ExecError::QuboIo(QuboIoError::BadNumber { line: 3, what, token }))
+            },
+        );
     }
 
     #[test]
@@ -1169,14 +1122,12 @@ mod tests {
         // wall-clock, so a replayed journal compares equal.
         for e in sample_events() {
             let mut bytes = Vec::new();
-            put_journal_event(&mut bytes, &e);
-            let mut r = Reader::new(&bytes);
-            let back = read_journal_event(&mut r).unwrap();
+            e.put(&mut bytes);
+            let mut r = Reader { buf: &bytes, pos: 0 };
+            let back = JournalEvent::read(&mut r).unwrap();
             r.finish().unwrap();
             assert_eq!(back, e);
             assert_eq!(back.at.as_nanos(), e.at.as_nanos());
-            // Static strings intern back to the same vocabulary entry.
-            assert!(std::ptr::eq(back.backend, intern(e.backend)), "{} not interned", e.backend);
         }
     }
 
@@ -1212,7 +1163,7 @@ mod tests {
             encode_record(&Record::Checkpoint { tag: "classical".into(), payload: vec![9] }),
             encode_record(&Record::Journal(JournalEvent {
                 at: Duration::from_secs(5),
-                backend: "classical",
+                backend: BackendId::Classical,
                 attempt: 0,
                 kind: JournalKind::AttemptStarted,
             })),
@@ -1256,12 +1207,12 @@ mod tests {
         assert!(decode_record(&[]).is_err());
         assert!(decode_record(&[99]).is_err());
         let mut hostile = vec![4u8];
-        put_u64(&mut hostile, u64::MAX); // tag length far beyond the buffer
+        u64::MAX.put(&mut hostile); // tag length far beyond the buffer
         hostile.extend_from_slice(b"xx");
         assert!(decode_record(&hostile).is_err());
         let mut bad_utf8 = vec![4u8];
-        put_bytes(&mut bad_utf8, &[0xff, 0xfe]);
-        put_bytes(&mut bad_utf8, b"");
+        vec![0xffu8, 0xfe].put(&mut bad_utf8);
+        Vec::<u8>::new().put(&mut bad_utf8);
         assert!(decode_record(&bad_utf8).is_err());
         // Snapshots too.
         let snap = RecoveredRun { completed_rungs: 3, ..Default::default() }.encode();
@@ -1276,7 +1227,8 @@ mod tests {
             AnnealSample { assignment: vec![true, false, true], energy: -1.25, broken_chains: 2 },
             AnnealSample { assignment: vec![false], energy: f64::MIN_POSITIVE, broken_chains: 0 },
         ];
-        let (done, back) = decode_anneal_progress(&encode_anneal_progress(17, &samples)).unwrap();
+        let (done, back): (usize, Vec<AnnealSample>) =
+            decode(&encode_anneal_progress(17, &samples)).unwrap();
         assert_eq!(done, 17);
         assert_eq!(back.len(), 2);
         assert_eq!(back[0].assignment, samples[0].assignment);
@@ -1288,7 +1240,7 @@ mod tests {
             evaluations: 41,
             iterations: 12,
         };
-        assert_eq!(decode_nm_state(&encode_nm_state(&nm)).unwrap(), nm);
+        assert_eq!(decode::<NmState>(&encode(&nm)).unwrap(), nm);
 
         let inc = Incumbent {
             assignment: vec![true, true, false],
@@ -1296,7 +1248,7 @@ mod tests {
             soft_weight: 5,
             violated_weight: 1,
         };
-        assert_eq!(decode_incumbent(&encode_incumbent(&inc)).unwrap(), inc);
+        assert_eq!(decode::<Incumbent>(&encode(&inc)).unwrap(), inc);
 
         let g = GroverProgress {
             next_guess: 9,
@@ -1305,14 +1257,14 @@ mod tests {
             m: 10.6044,
             success_probability: 0.82,
         };
-        assert_eq!(decode_grover_progress(&encode_grover_progress(&g)).unwrap(), g);
+        assert_eq!(decode::<GroverProgress>(&encode(&g)).unwrap(), g);
 
         // Malformed payloads decode to None, never panic.
         for buf in [&b""[..], &[0xff; 7][..], &[0xff; 64][..]] {
-            assert!(decode_anneal_progress(buf).is_none());
-            assert!(decode_nm_state(buf).is_none());
-            assert!(decode_incumbent(buf).is_none());
-            assert!(decode_grover_progress(buf).is_none());
+            assert!(decode::<(usize, Vec<AnnealSample>)>(buf).is_none());
+            assert!(decode::<NmState>(buf).is_none());
+            assert!(decode::<Incumbent>(buf).is_none());
+            assert!(decode::<GroverProgress>(buf).is_none());
         }
     }
 }

@@ -13,6 +13,9 @@
 //!   pipeline stage, which attempt index produced the error, kept even
 //!   for errors a fallback later suppressed.
 
+use crate::backend::BackendId;
+use crate::budget::BudgetDim;
+use crate::stage::Stage;
 use nck_anneal::AnnealError;
 use nck_circuit::QaoaError;
 use nck_compile::CompileError;
@@ -30,6 +33,11 @@ pub enum FaultKind {
     /// The annealer job's chain-break fraction exceeded the backend's
     /// acceptance threshold — a storm, not a usable sample set.
     ChainBreakStorm,
+}
+
+impl FaultKind {
+    /// Every fault kind, in declaration order.
+    pub const ALL: [FaultKind; 2] = [FaultKind::Injected, FaultKind::ChainBreakStorm];
 }
 
 impl fmt::Display for FaultKind {
@@ -72,16 +80,16 @@ pub enum ExecError {
     /// explicit cancel) before the backend produced anything usable.
     Cancelled {
         /// Backend that observed the cancellation.
-        backend: &'static str,
+        backend: BackendId,
         /// Pipeline stage that was executing.
-        stage: &'static str,
+        stage: Stage,
     },
     /// A transient substrate fault: worth retrying with backoff.
     Transient {
         /// Backend that faulted.
-        backend: &'static str,
+        backend: BackendId,
         /// Pipeline stage that faulted.
-        stage: &'static str,
+        stage: Stage,
         /// What kind of fault.
         kind: FaultKind,
         /// Attempt index the fault hit (0-based).
@@ -92,14 +100,13 @@ pub enum ExecError {
     /// that keeps failing.
     BreakerOpen {
         /// Backend whose breaker rejected the call.
-        backend: &'static str,
+        backend: BackendId,
     },
     /// A [`RunBudget`](crate::RunBudget) dimension ran out before any
     /// rung produced a report.
     BudgetExhausted {
-        /// Which budget dimension (`"attempts"`, `"samples"`,
-        /// `"deadline"`).
-        what: &'static str,
+        /// Which budget dimension.
+        what: BudgetDim,
     },
     /// The durable run store failed (I/O error, corrupt file, or a
     /// simulated crash from the kill-point harness).
@@ -202,9 +209,9 @@ impl From<QuboIoError> for ExecError {
 #[derive(Clone, Debug, PartialEq)]
 pub struct FailedAttempt {
     /// Backend that failed.
-    pub backend: &'static str,
+    pub backend: BackendId,
     /// Pipeline stage that was executing when the error surfaced.
-    pub stage: &'static str,
+    pub stage: Stage,
     /// Attempt index on that backend (0-based).
     pub attempt: u32,
     /// The typed error.
@@ -226,8 +233,8 @@ mod tests {
     #[test]
     fn transient_classification() {
         let t = ExecError::Transient {
-            backend: "annealer",
-            stage: "sample",
+            backend: BackendId::Annealer,
+            stage: Stage::Sample,
             kind: FaultKind::Injected,
             attempt: 0,
         };
@@ -238,9 +245,9 @@ mod tests {
             ExecError::NoCandidates,
             ExecError::SoftUnsupported { num_soft: 1 },
             ExecError::TooLarge { vars: 30, limit: 20 },
-            ExecError::Cancelled { backend: "gate", stage: "sample" },
-            ExecError::BreakerOpen { backend: "gate" },
-            ExecError::BudgetExhausted { what: "attempts" },
+            ExecError::Cancelled { backend: BackendId::Gate, stage: Stage::Sample },
+            ExecError::BreakerOpen { backend: BackendId::Gate },
+            ExecError::BudgetExhausted { what: BudgetDim::Attempts },
         ] {
             assert!(e.permanent(), "{e} must be permanent");
         }
@@ -249,8 +256,8 @@ mod tests {
     #[test]
     fn failed_attempt_carries_provenance() {
         let fa = FailedAttempt {
-            backend: "annealer",
-            stage: "embed",
+            backend: BackendId::Annealer,
+            stage: Stage::Embed,
             attempt: 2,
             error: ExecError::NoCandidates,
         };

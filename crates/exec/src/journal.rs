@@ -8,12 +8,37 @@
 //! failed; a ladder rescue records which rung burned how many attempts
 //! before the next rung took over.
 
+use crate::backend::BackendId;
 use crate::error::ExecError;
-use crate::stage::StageTimings;
+use crate::stage::{Stage, StageTimings};
 use nck_cancel::{CancelToken, Checkpointer, NoopCheckpointer};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// A fallback policy that rescued an attempt.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fallback {
+    /// The device's precomputed clique embedding, after the heuristic
+    /// embedder failed.
+    CliqueEmbedding,
+    /// Closed-form p = 1 QAOA, after the state vector overflowed.
+    AnalyticP1,
+}
+
+impl Fallback {
+    /// Every fallback, in declaration order.
+    pub const ALL: [Fallback; 2] = [Fallback::CliqueEmbedding, Fallback::AnalyticP1];
+}
+
+impl fmt::Display for Fallback {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            Fallback::CliqueEmbedding => "clique embedding",
+            Fallback::AnalyticP1 => "analytic p=1 QAOA",
+        })
+    }
+}
 
 /// One journaled event inside a (possibly supervised) execution.
 #[derive(Clone, Debug, PartialEq)]
@@ -22,7 +47,7 @@ pub struct JournalEvent {
     /// run's start when supervised; the attempt's start otherwise).
     pub at: Duration,
     /// Backend the event belongs to.
-    pub backend: &'static str,
+    pub backend: BackendId,
     /// Attempt index on that backend (0-based).
     pub attempt: u32,
     /// What happened.
@@ -38,8 +63,8 @@ pub enum JournalKind {
     /// fallback rescued the attempt (the error never escaped), so the
     /// journal keeps the provenance a successful report would lose.
     StageFailed {
-        /// Pipeline stage that failed (`embed`, `sample`, …).
-        stage: &'static str,
+        /// Pipeline stage that failed.
+        stage: Stage,
         /// The typed error, with full provenance.
         error: ExecError,
         /// True when a fallback rescued the attempt.
@@ -48,7 +73,7 @@ pub enum JournalKind {
     /// A fallback policy fired (clique embedding, analytic p = 1).
     FallbackTaken {
         /// Which fallback.
-        what: &'static str,
+        what: Fallback,
     },
     /// An attempt failed and a retry was scheduled after a backoff.
     Retry {
@@ -70,9 +95,9 @@ pub enum JournalKind {
     /// The ladder degraded from one rung to the next.
     LadderStep {
         /// Rung that was abandoned.
-        from: &'static str,
+        from: BackendId,
         /// Rung taking over.
-        to: &'static str,
+        to: BackendId,
     },
     /// The run finished under cancellation with a usable partial
     /// result (e.g. half-annealed reads).
@@ -128,7 +153,7 @@ pub struct RunJournal {
 
 impl RunJournal {
     /// Append an event.
-    pub fn push(&mut self, at: Duration, backend: &'static str, attempt: u32, kind: JournalKind) {
+    pub fn push(&mut self, at: Duration, backend: BackendId, attempt: u32, kind: JournalKind) {
         self.events.push(JournalEvent { at, backend, attempt, kind });
     }
 
@@ -183,10 +208,10 @@ pub struct RunCtx {
     pub ckpt: Arc<dyn Checkpointer>,
     /// Attempt index on this backend (0 on the first try).
     pub attempt: u32,
-    /// Name of the backend executing the attempt.
-    pub backend: &'static str,
+    /// The backend executing the attempt.
+    pub backend: BackendId,
     /// Pipeline stage currently executing (for error provenance).
-    pub stage: &'static str,
+    pub stage: Stage,
     started: Instant,
 }
 
@@ -205,7 +230,7 @@ impl fmt::Debug for RunCtx {
 
 impl RunCtx {
     /// A context for one attempt on `backend`.
-    pub fn new(backend: &'static str, cancel: CancelToken, attempt: u32, started: Instant) -> Self {
+    pub fn new(backend: BackendId, cancel: CancelToken, attempt: u32, started: Instant) -> Self {
         RunCtx {
             stages: StageTimings { attempt, ..StageTimings::default() },
             journal: RunJournal::default(),
@@ -213,7 +238,7 @@ impl RunCtx {
             ckpt: Arc::new(NoopCheckpointer),
             attempt,
             backend,
-            stage: "compile",
+            stage: Stage::Compile,
             started,
         }
     }
@@ -226,12 +251,12 @@ impl RunCtx {
 
     /// A plain context: never cancelled, first attempt, clock starting
     /// now.
-    pub fn plain(backend: &'static str) -> Self {
+    pub fn plain(backend: BackendId) -> Self {
         RunCtx::new(backend, CancelToken::never(), 0, Instant::now())
     }
 
     /// Mark the pipeline stage currently executing.
-    pub fn enter_stage(&mut self, stage: &'static str) {
+    pub fn enter_stage(&mut self, stage: Stage) {
         self.stage = stage;
     }
 
@@ -266,16 +291,16 @@ mod tests {
     fn journal_completeness() {
         let mut j = RunJournal::default();
         assert!(!j.is_complete());
-        j.push(Duration::ZERO, "annealer", 0, JournalKind::AttemptStarted);
+        j.push(Duration::ZERO, BackendId::Annealer, 0, JournalKind::AttemptStarted);
         assert!(!j.is_complete());
-        j.push(Duration::from_millis(3), "annealer", 0, JournalKind::Succeeded);
+        j.push(Duration::from_millis(3), BackendId::Annealer, 0, JournalKind::Succeeded);
         assert!(j.is_complete());
     }
 
     #[test]
     fn suppressed_errors_surface() {
-        let mut ctx = RunCtx::plain("annealer");
-        ctx.enter_stage("embed");
+        let mut ctx = RunCtx::plain(BackendId::Annealer);
+        ctx.enter_stage(Stage::Embed);
         ctx.note_suppressed(ExecError::NoCandidates);
         assert_eq!(ctx.journal.suppressed_errors().count(), 1);
         let rendered = ctx.journal.render();
@@ -286,14 +311,14 @@ mod tests {
     #[test]
     fn render_is_one_line_per_event() {
         let mut j = RunJournal::default();
-        j.push(Duration::ZERO, "gate", 0, JournalKind::AttemptStarted);
+        j.push(Duration::ZERO, BackendId::Gate, 0, JournalKind::AttemptStarted);
         j.push(
             Duration::from_millis(1),
-            "gate",
+            BackendId::Gate,
             0,
             JournalKind::Retry { backoff: Duration::from_millis(4) },
         );
-        j.push(Duration::from_millis(9), "gate", 1, JournalKind::Succeeded);
+        j.push(Duration::from_millis(9), BackendId::Gate, 1, JournalKind::Succeeded);
         assert_eq!(j.render().lines().count(), 3);
         assert_eq!(j.attempts(), 1);
     }

@@ -59,104 +59,19 @@ pub mod plan;
 pub mod stage;
 pub mod supervisor;
 
-pub use backend::{Backend, BackendMetrics, Candidates, Prepared};
+pub use backend::{Backend, BackendId, BackendMetrics, Candidates, Prepared};
 pub use backends::{
     AnnealerBackend, ClassicalBackend, GateModelBackend, GroverBackend, BBHT_GROWTH,
     PACKED_SAMPLER_LIMIT,
 };
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
-pub use budget::{RetryPolicy, RunBudget};
+pub use budget::{BudgetDim, RetryPolicy, RunBudget};
 pub use durable::{DurableRun, Record, RecoveredRun, DEFAULT_CHECKPOINT_INTERVAL};
 pub use error::{ExecError, FailedAttempt, FaultKind};
 pub use fault::FaultInjection;
-pub use journal::{JournalEvent, JournalKind, RunCtx, RunJournal};
+pub use journal::{Fallback, JournalEvent, JournalKind, RunCtx, RunJournal};
 pub use nck_cancel::{CancelToken, Checkpointer, NoopCheckpointer};
-pub use nck_store::{KillPoint, KillSpec, Recovered, RunStore, StoreError};
+pub use nck_store::{KillPoint, KillSpec, Recovered, RunStore, StoreError, StoreOp};
 pub use plan::{ExecReport, ExecutionPlan, PlanStats, Tally};
-pub use stage::{StageOutcome, StageTimings};
+pub use stage::{Stage, StageOutcome, StageTimings};
 pub use supervisor::{SupervisedFailure, Supervisor};
-
-use nck_anneal::AnnealerDevice;
-use nck_circuit::GateModelDevice;
-use nck_compile::CompiledProgram;
-use nck_core::{Program, SolutionQuality};
-use std::sync::Arc;
-
-/// The outcome of running a program on a backend — the original
-/// porcelain shape, kept for callers of the free-function entry
-/// points. [`ExecReport`] carries the same result plus stage timings,
-/// tallies, and backend metrics.
-#[derive(Clone, Debug)]
-pub struct ExecOutcome {
-    /// Best assignment over the program variables.
-    pub assignment: Vec<bool>,
-    /// Its quality per Definition 8, judged against the classical
-    /// optimum.
-    pub quality: SolutionQuality,
-    /// Soft constraints satisfied by `assignment` (count).
-    pub soft_satisfied: usize,
-    /// The classical soft optimum, as a satisfied *weight* (equal to a
-    /// count when all weights are 1).
-    pub max_soft: u64,
-    /// The compiled program (QUBO size, ancillas, weights, stats).
-    pub compiled: CompiledProgram,
-}
-
-impl ExecReport {
-    /// Collapse the report to the original [`ExecOutcome`] shape.
-    pub fn into_outcome(self) -> ExecOutcome {
-        ExecOutcome {
-            assignment: self.assignment,
-            quality: self.quality,
-            soft_satisfied: self.soft_satisfied,
-            max_soft: self.max_soft,
-            compiled: Arc::try_unwrap(self.compiled).unwrap_or_else(|arc| (*arc).clone()),
-        }
-    }
-}
-
-/// Solve on the simulated D-Wave annealer: one job of `num_reads`
-/// samples, best sample reported (the paper's §VII protocol). Thin
-/// wrapper over [`ExecutionPlan`] + [`AnnealerBackend`].
-pub fn run_on_annealer(
-    program: &Program,
-    device: &AnnealerDevice,
-    num_reads: usize,
-    seed: u64,
-) -> Result<ExecOutcome, ExecError> {
-    let plan = ExecutionPlan::new(program);
-    let backend = AnnealerBackend::new(device.clone(), num_reads);
-    plan.run(&backend, seed).map(ExecReport::into_outcome)
-}
-
-/// Solve on the simulated gate-model device via QAOA (single returned
-/// result, as in §VIII-B). Thin wrapper over [`ExecutionPlan`] +
-/// [`GateModelBackend`].
-pub fn run_on_gate_model(
-    program: &Program,
-    device: &GateModelDevice,
-    layers: usize,
-    shots: usize,
-    max_iter: usize,
-    seed: u64,
-) -> Result<ExecOutcome, ExecError> {
-    let plan = ExecutionPlan::new(program);
-    let backend = GateModelBackend::new(device.clone(), layers, shots, max_iter);
-    plan.run(&backend, seed).map(ExecReport::into_outcome)
-}
-
-/// Solve a *hard-only* program by Grover search on the simulated gate
-/// model. Thin wrapper over [`ExecutionPlan`] + [`GroverBackend`];
-/// soft constraints or oversized programs yield
-/// [`ExecError::SoftUnsupported`] / [`ExecError::TooLarge`].
-pub fn run_on_grover(program: &Program, seed: u64) -> Result<ExecOutcome, ExecError> {
-    let plan = ExecutionPlan::new(program);
-    plan.run(&GroverBackend::default(), seed).map(ExecReport::into_outcome)
-}
-
-/// Solve classically (the Z3-role baseline): exact branch and bound.
-/// Thin wrapper over [`ExecutionPlan`] + [`ClassicalBackend`].
-pub fn run_classically(program: &Program) -> Result<(Vec<bool>, usize), ExecError> {
-    let plan = ExecutionPlan::new(program);
-    plan.run(&ClassicalBackend::default(), 0).map(|r| (r.assignment, r.soft_satisfied))
-}

@@ -9,11 +9,11 @@
 //! recompilation made compilation 40–50× slower than a direct
 //! classical solve (§VIII-C).
 
-use crate::backend::{Backend, BackendMetrics, Candidates, Prepared};
+use crate::backend::{Backend, BackendId, BackendMetrics, Candidates, Prepared};
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::error::{ExecError, FailedAttempt};
 use crate::journal::{RunCtx, RunJournal};
-use crate::stage::StageTimings;
+use crate::stage::{Stage, StageTimings};
 use nck_classical::OptimalityOracle;
 use nck_compile::{compile, CompiledProgram, CompilerOptions};
 use nck_core::{Program, SolutionQuality};
@@ -67,7 +67,7 @@ pub struct PlanStats {
 #[derive(Clone, Debug)]
 pub struct ExecReport {
     /// Which backend produced this result.
-    pub backend: &'static str,
+    pub backend: BackendId,
     /// Best assignment over the program variables.
     pub assignment: Vec<bool>,
     /// Its quality per Definition 8, judged against the classical
@@ -107,7 +107,7 @@ pub struct ExecutionPlan<'p> {
     oracle_builds: AtomicU64,
     oracle_hits: AtomicU64,
     breaker_config: BreakerConfig,
-    breakers: Mutex<HashMap<&'static str, CircuitBreaker>>,
+    breakers: Mutex<HashMap<BackendId, CircuitBreaker>>,
 }
 
 impl<'p> ExecutionPlan<'p> {
@@ -205,7 +205,7 @@ impl<'p> ExecutionPlan<'p> {
     /// Run a closure against the (lazily created) circuit breaker for
     /// `backend`. Breakers are per-plan, per-backend-name, shared
     /// across every supervised run through this plan.
-    pub fn breaker<R>(&self, backend: &'static str, f: impl FnOnce(&mut CircuitBreaker) -> R) -> R {
+    pub fn breaker<R>(&self, backend: BackendId, f: impl FnOnce(&mut CircuitBreaker) -> R) -> R {
         let mut guard = self.breakers.lock();
         let b = guard.entry(backend).or_insert_with(|| CircuitBreaker::new(self.breaker_config));
         f(b)
@@ -231,7 +231,7 @@ impl<'p> ExecutionPlan<'p> {
         seed: u64,
         ctx: &mut RunCtx,
     ) -> Result<ExecReport, ExecError> {
-        ctx.enter_stage("compile");
+        ctx.enter_stage(Stage::Compile);
         let t = Instant::now();
         let (compiled, compile_hit) = self.compiled_cached()?;
         // A cache hit costs only the lock; a miss is the real compile,
@@ -241,7 +241,7 @@ impl<'p> ExecutionPlan<'p> {
         let prepared = Prepared { program: self.program, compiled: &compiled };
         let (candidates, metrics) = backend.run(&prepared, seed, ctx)?;
 
-        ctx.enter_stage("decode");
+        ctx.enter_stage(Stage::Decode);
         let t = Instant::now();
         let assignments: Vec<Vec<bool>> = match candidates {
             Candidates::Qubo(raw) => {
@@ -256,7 +256,7 @@ impl<'p> ExecutionPlan<'p> {
         ctx.stages.decode = t.elapsed();
         ctx.stages.candidates = assignments.len();
 
-        ctx.enter_stage("classify");
+        ctx.enter_stage(Stage::Classify);
         let t = Instant::now();
         let oracle = self.oracle();
         let max_soft = oracle.max_soft.ok_or(ExecError::Unsatisfiable)?;

@@ -8,7 +8,63 @@
 //! under `sample`; the classical solver's search is likewise reported
 //! under `sample`).
 
+use std::fmt;
 use std::time::Duration;
+
+/// Where in a run an error surfaced: the five pipeline stages, then
+/// the supervisor's own checkpoints.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stage {
+    /// Program → QUBO compilation.
+    Compile,
+    /// Minor embedding onto the hardware graph.
+    Embed,
+    /// The backend's own work.
+    Sample,
+    /// Projecting backend assignments to program variables.
+    Decode,
+    /// Classification against the optimality oracle.
+    Classify,
+    /// The circuit-breaker gate in front of a rung.
+    Breaker,
+    /// A run-budget check.
+    Budget,
+    /// The degradation ladder itself.
+    Ladder,
+    /// The durable run store.
+    Store,
+}
+
+impl Stage {
+    /// Every stage, in declaration order.
+    pub const ALL: [Stage; 9] = [
+        Stage::Compile,
+        Stage::Embed,
+        Stage::Sample,
+        Stage::Decode,
+        Stage::Classify,
+        Stage::Breaker,
+        Stage::Budget,
+        Stage::Ladder,
+        Stage::Store,
+    ];
+}
+
+impl fmt::Display for Stage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            Stage::Compile => "compile",
+            Stage::Embed => "embed",
+            Stage::Sample => "sample",
+            Stage::Decode => "decode",
+            Stage::Classify => "classify",
+            Stage::Breaker => "breaker",
+            Stage::Budget => "budget",
+            Stage::Ladder => "ladder",
+            Stage::Store => "store",
+        })
+    }
+}
 
 /// How an execution ended, for the CSV `outcome` column.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -80,13 +136,13 @@ impl StageTimings {
     pub const CSV_HEADER: &'static str = "label,stage,ms,outcome,attempts";
 
     /// The five pipeline stages in order, with their wall-times.
-    pub fn stages(&self) -> [(&'static str, Duration); 5] {
+    pub fn stages(&self) -> [(Stage, Duration); 5] {
         [
-            ("compile", self.compile),
-            ("embed", self.embed),
-            ("sample", self.sample),
-            ("decode", self.decode),
-            ("classify", self.classify),
+            (Stage::Compile, self.compile),
+            (Stage::Embed, self.embed),
+            (Stage::Sample, self.sample),
+            (Stage::Decode, self.decode),
+            (Stage::Classify, self.classify),
         ]
     }
 

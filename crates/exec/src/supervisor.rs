@@ -41,14 +41,14 @@
 //!
 //! [`CircuitBreaker`]: crate::CircuitBreaker
 
-use crate::backend::Backend;
+use crate::backend::{Backend, BackendId};
 use crate::breaker::Admission;
-use crate::budget::{RetryPolicy, RunBudget};
+use crate::budget::{BudgetDim, RetryPolicy, RunBudget};
 use crate::durable::{DurableRun, Record, RecoveredRun, DEFAULT_CHECKPOINT_INTERVAL};
 use crate::error::{ExecError, FailedAttempt};
 use crate::journal::{JournalEvent, JournalKind, RunCtx, RunJournal};
 use crate::plan::{ExecReport, ExecutionPlan};
-use crate::stage::StageOutcome;
+use crate::stage::{Stage, StageOutcome};
 use nck_cancel::{CancelToken, Checkpointer};
 use nck_store::{Recovered, RunStore};
 use std::fmt;
@@ -119,7 +119,7 @@ fn jot(
     journal: &mut RunJournal,
     sink: Option<&Arc<DurableRun>>,
     at: Duration,
-    backend: &'static str,
+    backend: BackendId,
     attempt: u32,
     kind: JournalKind,
 ) {
@@ -257,11 +257,16 @@ impl Supervisor {
     /// A store failure wrapped in the supervised-failure shape, so the
     /// durable entry points keep one error channel.
     fn store_failure(error: ExecError) -> Box<SupervisedFailure> {
-        let error = FailedAttempt { backend: "supervisor", stage: "store", attempt: 0, error };
+        let error = FailedAttempt {
+            backend: BackendId::Supervisor,
+            stage: Stage::Store,
+            attempt: 0,
+            error,
+        };
         let mut journal = RunJournal::default();
         journal.push(
             Duration::ZERO,
-            "supervisor",
+            BackendId::Supervisor,
             0,
             JournalKind::Failed { error: error.error.clone() },
         );
@@ -282,8 +287,8 @@ impl Supervisor {
             None => result,
             Some(e) => {
                 let error = FailedAttempt {
-                    backend: "supervisor",
-                    stage: "store",
+                    backend: BackendId::Supervisor,
+                    stage: Stage::Store,
                     attempt: 0,
                     error: ExecError::Store(e),
                 };
@@ -319,8 +324,8 @@ impl Supervisor {
         let mut global_attempt: u32 = init.global_attempt;
         let mut samples_used: u64 = init.samples_used;
         let mut last_error = FailedAttempt {
-            backend: "supervisor",
-            stage: "ladder",
+            backend: BackendId::Supervisor,
+            stage: Stage::Ladder,
             attempt: 0,
             error: ExecError::NoCandidates,
         };
@@ -338,9 +343,9 @@ impl Supervisor {
                     if global.is_cancelled() {
                         last_error = FailedAttempt {
                             backend: name,
-                            stage: "budget",
+                            stage: Stage::Budget,
                             attempt: global_attempt,
-                            error: ExecError::BudgetExhausted { what: "deadline" },
+                            error: ExecError::BudgetExhausted { what: BudgetDim::Deadline },
                         };
                         break 'rungs;
                     }
@@ -352,9 +357,9 @@ impl Supervisor {
                 if global_attempt >= self.budget.max_attempts {
                     last_error = FailedAttempt {
                         backend: name,
-                        stage: "budget",
+                        stage: Stage::Budget,
                         attempt: global_attempt,
-                        error: ExecError::BudgetExhausted { what: "attempts" },
+                        error: ExecError::BudgetExhausted { what: BudgetDim::Attempts },
                     };
                     jot(
                         &mut journal,
@@ -370,9 +375,9 @@ impl Supervisor {
                     if samples_used >= max {
                         last_error = FailedAttempt {
                             backend: name,
-                            stage: "budget",
+                            stage: Stage::Budget,
                             attempt: global_attempt,
-                            error: ExecError::BudgetExhausted { what: "samples" },
+                            error: ExecError::BudgetExhausted { what: BudgetDim::Samples },
                         };
                         jot(
                             &mut journal,
@@ -399,7 +404,7 @@ impl Supervisor {
                         );
                         last_error = FailedAttempt {
                             backend: name,
-                            stage: "breaker",
+                            stage: Stage::Breaker,
                             attempt: rung_attempt,
                             error: ExecError::BreakerOpen { backend: name },
                         };
@@ -713,10 +718,12 @@ mod tests {
         let report = sup.run(&plan, &[&grover, &classical], 7).unwrap();
         assert_eq!(report.quality, SolutionQuality::Optimal);
         assert_eq!(report.timings.outcome, StageOutcome::FellBack);
-        let stepped =
-            report.journal.events.iter().any(|e| {
-                matches!(e.kind, JournalKind::LadderStep { from: "grover", to: "classical" })
-            });
+        let stepped = report.journal.events.iter().any(|e| {
+            matches!(
+                e.kind,
+                JournalKind::LadderStep { from: BackendId::Grover, to: BackendId::Classical }
+            )
+        });
         assert!(stepped, "{}", report.journal.render());
         // Permanent errors are not retried: one attempt per rung.
         assert_eq!(report.journal.attempts(), 2);
@@ -733,8 +740,8 @@ mod tests {
             "{}",
             failure.error
         );
-        assert_eq!(failure.error.backend, "grover");
-        assert_eq!(failure.error.stage, "sample");
+        assert_eq!(failure.error.backend, BackendId::Grover);
+        assert_eq!(failure.error.stage, Stage::Sample);
         assert!(failure.journal.is_complete(), "{}", failure.journal.render());
     }
 
@@ -763,7 +770,10 @@ mod tests {
         // rung without invoking the backend at all.
         let failure = sup.run(&plan, &[&faulty], 8).unwrap_err();
         assert_eq!(failure.journal.attempts(), 0, "{}", failure.journal.render());
-        assert!(matches!(failure.error.error, ExecError::BreakerOpen { backend: "classical" }));
+        assert!(matches!(
+            failure.error.error,
+            ExecError::BreakerOpen { backend: BackendId::Classical }
+        ));
         let short = failure
             .journal
             .events
@@ -788,7 +798,10 @@ mod tests {
         };
         let failure = sup.run(&plan, &[&faulty], 7).unwrap_err();
         assert_eq!(failure.journal.attempts(), 3, "{}", failure.journal.render());
-        assert!(matches!(failure.error.error, ExecError::BudgetExhausted { what: "attempts" }));
+        assert!(matches!(
+            failure.error.error,
+            ExecError::BudgetExhausted { what: BudgetDim::Attempts }
+        ));
     }
 
     #[test]
@@ -830,7 +843,8 @@ mod tests {
         assert!(
             matches!(
                 failure.error.error,
-                ExecError::BudgetExhausted { what: "deadline" } | ExecError::Cancelled { .. }
+                ExecError::BudgetExhausted { what: BudgetDim::Deadline }
+                    | ExecError::Cancelled { .. }
             ),
             "{}",
             failure.error
@@ -922,7 +936,7 @@ mod tests {
         assert!(
             matches!(
                 failure.error.error,
-                ExecError::Store(StoreError::Killed { point: "crash-before-fsync" })
+                ExecError::Store(StoreError::Killed { point: KillPoint::CrashBeforeFsync })
             ),
             "{}",
             failure.error

@@ -21,7 +21,7 @@ pub mod poly;
 pub mod qubo;
 
 pub use exhaustive::{max_energy, solve_exhaustive, ExhaustiveResult, ENERGY_EPS};
-pub use io::{from_qubo_file, to_qubo_file, QuboIoError};
+pub use io::{from_qubo_file, to_qubo_file, QuboIoError, TokenKind};
 pub use ising::Ising;
 pub use poly::Poly;
 pub use qubo::Qubo;

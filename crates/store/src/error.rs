@@ -6,15 +6,79 @@
 //! captured as (operation, path, kind) rather than carrying
 //! `std::io::Error` (which is neither `Clone` nor `PartialEq`).
 
+use crate::killpoint::KillPoint;
 use std::fmt;
+
+/// The file-system operations the store performs, as named in
+/// [`StoreError::Io`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StoreOp {
+    /// Creating the run directory.
+    Mkdir,
+    /// Opening a WAL or snapshot file.
+    Open,
+    /// Opening the run directory to sync it.
+    OpenDir,
+    /// Reading a file's contents.
+    Read,
+    /// Writing bytes.
+    Write,
+    /// Positioning the WAL for a write.
+    Seek,
+    /// Cutting the WAL to a length.
+    Truncate,
+    /// Flushing a file to stable storage.
+    Fsync,
+    /// Flushing the run directory's entries to stable storage.
+    SyncDir,
+    /// Moving a snapshot into place.
+    Rename,
+    /// Deleting a stale temporary snapshot.
+    Remove,
+}
+
+impl StoreOp {
+    /// Every store operation, in declaration order.
+    pub const ALL: [StoreOp; 11] = [
+        StoreOp::Mkdir,
+        StoreOp::Open,
+        StoreOp::OpenDir,
+        StoreOp::Read,
+        StoreOp::Write,
+        StoreOp::Seek,
+        StoreOp::Truncate,
+        StoreOp::Fsync,
+        StoreOp::SyncDir,
+        StoreOp::Rename,
+        StoreOp::Remove,
+    ];
+}
+
+impl fmt::Display for StoreOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            StoreOp::Mkdir => "mkdir",
+            StoreOp::Open => "open",
+            StoreOp::OpenDir => "open-dir",
+            StoreOp::Read => "read",
+            StoreOp::Write => "write",
+            StoreOp::Seek => "seek",
+            StoreOp::Truncate => "truncate",
+            StoreOp::Fsync => "fsync",
+            StoreOp::SyncDir => "sync-dir",
+            StoreOp::Rename => "rename",
+            StoreOp::Remove => "remove",
+        })
+    }
+}
 
 /// Errors from the durable run store.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StoreError {
     /// An operating-system I/O failure.
     Io {
-        /// The store operation that failed (`"open"`, `"append"`, …).
-        op: &'static str,
+        /// The store operation that failed.
+        op: StoreOp,
         /// File or directory involved.
         path: String,
         /// `std::io::ErrorKind` of the failure, stringified.
@@ -35,7 +99,7 @@ pub enum StoreError {
     /// crash at this operation and is now permanently dead.
     Killed {
         /// Which kill-point fired.
-        point: &'static str,
+        point: KillPoint,
     },
     /// The store was used after it died (a kill-point or an I/O
     /// failure); no further operation can succeed.
@@ -62,7 +126,7 @@ impl fmt::Display for StoreError {
                 write!(f, "corrupt store file {path} at byte {offset}: {reason}")
             }
             StoreError::Killed { point } => {
-                write!(f, "store killed at deterministic crash point: {point}")
+                write!(f, "store killed at deterministic crash point: {}", point.name())
             }
             StoreError::Dead => write!(f, "store is dead (crashed earlier); reopen to recover"),
             StoreError::NotEmpty { path } => {
@@ -79,7 +143,7 @@ impl std::error::Error for StoreError {}
 
 impl StoreError {
     /// Capture an `std::io::Error` as a cloneable, comparable record.
-    pub fn io(op: &'static str, path: &std::path::Path, e: &std::io::Error) -> Self {
+    pub fn io(op: StoreOp, path: &std::path::Path, e: &std::io::Error) -> Self {
         StoreError::Io { op, path: path.display().to_string(), kind: e.kind().to_string() }
     }
 }

@@ -23,7 +23,7 @@ mod snapshot;
 mod store;
 mod wal;
 
-pub use error::StoreError;
+pub use error::{StoreError, StoreOp};
 pub use frame::{crc32, encode_frame, scan_frames, FrameScan, ScanStop, MAX_FRAME_LEN};
 pub use killpoint::{KillPoint, KillSpec};
 pub use snapshot::{load_snapshot, save_snapshot, SNAP_FILE, SNAP_TMP_FILE};

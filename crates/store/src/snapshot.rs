@@ -2,7 +2,7 @@
 //!
 //! A snapshot collapses the WAL: it records the caller's state bytes
 //! together with `covered_seq`, the highest WAL sequence number the
-//! state already incorporates. The file is a `NCKSNAP1` magic followed
+//! state already incorporates. The file is a `NCKSNAP2` magic followed
 //! by exactly one CRC32 frame whose payload is
 //! `[covered_seq: u64 LE][state bytes]`.
 //!
@@ -12,7 +12,7 @@
 //! half-written file under the final name. A stale `snapshot.tmp`
 //! found on open is removed.
 
-use crate::error::StoreError;
+use crate::error::{StoreError, StoreOp};
 use crate::frame::{encode_frame, scan_frames, ScanStop};
 use crate::wal::sync_dir;
 use std::fs::{self, File, OpenOptions};
@@ -20,7 +20,7 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 /// Magic bytes opening every snapshot file.
-pub const SNAP_MAGIC: &[u8; 8] = b"NCKSNAP1";
+pub const SNAP_MAGIC: &[u8; 8] = b"NCKSNAP2";
 
 /// Final snapshot filename inside a run directory.
 pub const SNAP_FILE: &str = "snapshot.bin";
@@ -43,11 +43,11 @@ pub fn save_snapshot(dir: &Path, covered_seq: u64, state: &[u8]) -> Result<(), S
         .create(true)
         .truncate(true)
         .open(&tmp)
-        .map_err(|e| StoreError::io("open", &tmp, &e))?;
-    f.write_all(&bytes).map_err(|e| StoreError::io("write", &tmp, &e))?;
-    f.sync_all().map_err(|e| StoreError::io("fsync", &tmp, &e))?;
+        .map_err(|e| StoreError::io(StoreOp::Open, &tmp, &e))?;
+    f.write_all(&bytes).map_err(|e| StoreError::io(StoreOp::Write, &tmp, &e))?;
+    f.sync_all().map_err(|e| StoreError::io(StoreOp::Fsync, &tmp, &e))?;
     drop(f);
-    fs::rename(&tmp, &fin).map_err(|e| StoreError::io("rename", &fin, &e))?;
+    fs::rename(&tmp, &fin).map_err(|e| StoreError::io(StoreOp::Rename, &fin, &e))?;
     sync_dir(dir)
 }
 
@@ -58,16 +58,16 @@ pub fn save_snapshot(dir: &Path, covered_seq: u64, state: &[u8]) -> Result<(), S
 pub fn load_snapshot(dir: &Path) -> Result<Option<(u64, Vec<u8>)>, StoreError> {
     let tmp = dir.join(SNAP_TMP_FILE);
     if tmp.exists() {
-        fs::remove_file(&tmp).map_err(|e| StoreError::io("remove", &tmp, &e))?;
+        fs::remove_file(&tmp).map_err(|e| StoreError::io(StoreOp::Remove, &tmp, &e))?;
     }
     let fin = dir.join(SNAP_FILE);
     let mut f = match File::open(&fin) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(StoreError::io("open", &fin, &e)),
+        Err(e) => return Err(StoreError::io(StoreOp::Open, &fin, &e)),
     };
     let mut bytes = Vec::new();
-    f.read_to_end(&mut bytes).map_err(|e| StoreError::io("read", &fin, &e))?;
+    f.read_to_end(&mut bytes).map_err(|e| StoreError::io(StoreOp::Read, &fin, &e))?;
     let corrupt = |offset: u64, reason: &str| StoreError::Corrupt {
         path: fin.display().to_string(),
         offset,

@@ -9,7 +9,7 @@
 //! process dies between the two, the leftover WAL records are simply
 //! recognized as already covered and skipped.
 
-use crate::error::StoreError;
+use crate::error::{StoreError, StoreOp};
 use crate::killpoint::{KillPoint, KillSpec};
 use crate::snapshot::{load_snapshot, save_snapshot, SNAP_FILE};
 use crate::wal::{Wal, WAL_MAGIC};
@@ -47,7 +47,7 @@ pub struct RunStore {
     kill: Option<KillSpec>,
     append_ops: u64,
     snapshot_ops: u64,
-    dead: Option<&'static str>,
+    dead: bool,
 }
 
 impl RunStore {
@@ -55,7 +55,7 @@ impl RunStore {
     /// recovering any prior state: load the snapshot, replay the WAL,
     /// truncate torn tails, and skip records the snapshot covers.
     pub fn open(dir: &Path) -> Result<(RunStore, Recovered), StoreError> {
-        fs::create_dir_all(dir).map_err(|e| StoreError::io("mkdir", dir, &e))?;
+        fs::create_dir_all(dir).map_err(|e| StoreError::io(StoreOp::Mkdir, dir, &e))?;
         let snap = load_snapshot(dir)?;
         let (covered, snapshot) = match snap {
             Some((c, s)) => (c, Some(s)),
@@ -90,7 +90,7 @@ impl RunStore {
             kill: None,
             append_ops: 0,
             snapshot_ops: 0,
-            dead: None,
+            dead: false,
         };
         Ok((store, Recovered { snapshot, records, recovered_tail: replay.recovered_tail }))
     }
@@ -131,7 +131,7 @@ impl RunStore {
 
     /// True once a kill-point or I/O failure has "crashed" this handle.
     pub fn is_dead(&self) -> bool {
-        self.dead.is_some()
+        self.dead
     }
 
     /// Append one record durably (fsync before returning). Returns the
@@ -159,7 +159,7 @@ impl RunStore {
             }
         }
         if let Err(e) = self.wal.append(&payload) {
-            self.dead = Some("io-failure");
+            self.dead = true;
             return Err(e);
         }
         self.next_seq += 1;
@@ -175,7 +175,7 @@ impl RunStore {
         self.snapshot_ops += 1;
         let covered = self.next_seq.saturating_sub(1);
         if let Err(e) = save_snapshot(&self.dir, covered, state) {
-            self.dead = Some("io-failure");
+            self.dead = true;
             return Err(e);
         }
         if let Some(spec) = self.kill {
@@ -188,22 +188,22 @@ impl RunStore {
             }
         }
         if let Err(e) = self.wal.truncate_all() {
-            self.dead = Some("io-failure");
+            self.dead = true;
             return Err(e);
         }
         Ok(())
     }
 
     fn check_alive(&self) -> Result<(), StoreError> {
-        match self.dead {
-            Some(_) => Err(StoreError::Dead),
-            None => Ok(()),
+        if self.dead {
+            return Err(StoreError::Dead);
         }
+        Ok(())
     }
 
     fn die(&mut self, point: KillPoint) -> StoreError {
-        self.dead = Some(point.name());
-        StoreError::Killed { point: point.name() }
+        self.dead = true;
+        StoreError::Killed { point }
     }
 }
 
@@ -211,6 +211,7 @@ impl RunStore {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::frame::encode_frame;
     use crate::killpoint::{KillPoint, KillSpec};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -262,7 +263,7 @@ mod tests {
         store.arm_kill(KillSpec { point: KillPoint::CrashBeforeFsync, at_op: 2 });
         store.append(b"acked").unwrap();
         let err = store.append(b"lost").unwrap_err();
-        assert_eq!(err, StoreError::Killed { point: "crash-before-fsync" });
+        assert_eq!(err, StoreError::Killed { point: KillPoint::CrashBeforeFsync });
         assert_eq!(store.append(b"after-death").unwrap_err(), StoreError::Dead);
         let (_, rec) = RunStore::open(&dir).unwrap();
         assert_eq!(rec.records, vec![b"acked".to_vec()]);
@@ -276,7 +277,7 @@ mod tests {
         store.arm_kill(KillSpec { point: KillPoint::CrashMidFrame, at_op: 2 });
         store.append(b"acked").unwrap();
         let err = store.append(b"torn-record-payload").unwrap_err();
-        assert_eq!(err, StoreError::Killed { point: "crash-mid-frame" });
+        assert_eq!(err, StoreError::Killed { point: KillPoint::CrashMidFrame });
         let (mut store, rec) = RunStore::open(&dir).unwrap();
         assert!(rec.recovered_tail);
         assert_eq!(rec.records, vec![b"acked".to_vec()]);
@@ -296,7 +297,7 @@ mod tests {
         store.append(b"b").unwrap();
         store.arm_kill(KillSpec { point: KillPoint::CrashBetweenSnapshotAndTruncate, at_op: 1 });
         let err = store.snapshot(b"STATE").unwrap_err();
-        assert_eq!(err, StoreError::Killed { point: "crash-between-snapshot-and-truncate" });
+        assert_eq!(err, StoreError::Killed { point: KillPoint::CrashBetweenSnapshotAndTruncate });
         // The WAL still physically holds a and b; recovery must not
         // replay them on top of the snapshot that covers them.
         let (mut store, rec) = RunStore::open(&dir).unwrap();
@@ -327,14 +328,24 @@ mod tests {
 
     #[test]
     fn foreign_file_rejected_not_destroyed() {
-        let dir = tmp_dir("foreign");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join(WAL_FILE), b"not a wal file at all").unwrap();
-        let err = RunStore::open(&dir).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt { .. }));
-        // The foreign file must be untouched.
-        assert_eq!(fs::read(dir.join(WAL_FILE)).unwrap(), b"not a wal file at all");
-        let _ = fs::remove_dir_all(&dir);
+        // A foreign file, and files of the previous record format
+        // (whose bytes this build would misdecode), are all rejected.
+        let old_wal = [&b"NCKWAL01"[..], &encode_frame(&[1u8; 12])].concat();
+        let old_snap = [&b"NCKSNAP1"[..], &encode_frame(&[0u8; 8])].concat();
+        for (file, bytes) in [
+            (WAL_FILE, &b"not a wal file at all"[..]),
+            (WAL_FILE, &old_wal[..]),
+            (SNAP_FILE, &old_snap[..]),
+        ] {
+            let dir = tmp_dir("foreign");
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join(file), bytes).unwrap();
+            let err = RunStore::open(&dir).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt { .. }), "{file}: got {err:?}");
+            // The rejected file must be untouched.
+            assert_eq!(fs::read(dir.join(file)).unwrap(), bytes);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

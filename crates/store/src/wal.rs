@@ -1,6 +1,6 @@
 //! The append-only write-ahead log file.
 //!
-//! Layout: an 8-byte magic (`NCKWAL01`) followed by CRC32 frames
+//! Layout: an 8-byte magic (`NCKWAL02`) followed by CRC32 frames
 //! ([`frame`](crate::frame)). Opening an existing log replays it:
 //! every fully valid frame is returned, and anything after the last
 //! valid frame — a torn header, a torn payload, a failed checksum —
@@ -8,20 +8,20 @@
 //! clean boundary. A file that does not start with the magic is
 //! rejected as corrupt rather than silently overwritten.
 
-use crate::error::StoreError;
+use crate::error::{StoreError, StoreOp};
 use crate::frame::{encode_frame, scan_frames, ScanStop};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every WAL file.
-pub const WAL_MAGIC: &[u8; 8] = b"NCKWAL01";
+pub const WAL_MAGIC: &[u8; 8] = b"NCKWAL02";
 
 /// Fsync a directory so a file creation or rename inside it is
 /// durable (the metadata half of the usual fsync dance).
 pub fn sync_dir(dir: &Path) -> Result<(), StoreError> {
-    let d = File::open(dir).map_err(|e| StoreError::io("open-dir", dir, &e))?;
-    d.sync_all().map_err(|e| StoreError::io("sync-dir", dir, &e))
+    let d = File::open(dir).map_err(|e| StoreError::io(StoreOp::OpenDir, dir, &e))?;
+    d.sync_all().map_err(|e| StoreError::io(StoreOp::SyncDir, dir, &e))
 }
 
 /// An open, replayed WAL.
@@ -55,18 +55,18 @@ impl Wal {
             .create(true)
             .truncate(false)
             .open(path)
-            .map_err(|e| StoreError::io("open", path, &e))?;
+            .map_err(|e| StoreError::io(StoreOp::Open, path, &e))?;
         let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes).map_err(|e| StoreError::io("read", path, &e))?;
+        file.read_to_end(&mut bytes).map_err(|e| StoreError::io(StoreOp::Read, path, &e))?;
         let mut recovered_tail = false;
         if bytes.len() < WAL_MAGIC.len() {
             // Brand new, or a crash tore the header write before any
             // record could exist: (re)initialize.
             recovered_tail = !bytes.is_empty();
-            file.set_len(0).map_err(|e| StoreError::io("truncate", path, &e))?;
-            file.seek(SeekFrom::Start(0)).map_err(|e| StoreError::io("seek", path, &e))?;
-            file.write_all(WAL_MAGIC).map_err(|e| StoreError::io("write", path, &e))?;
-            file.sync_data().map_err(|e| StoreError::io("fsync", path, &e))?;
+            file.set_len(0).map_err(|e| StoreError::io(StoreOp::Truncate, path, &e))?;
+            file.seek(SeekFrom::Start(0)).map_err(|e| StoreError::io(StoreOp::Seek, path, &e))?;
+            file.write_all(WAL_MAGIC).map_err(|e| StoreError::io(StoreOp::Write, path, &e))?;
+            file.sync_data().map_err(|e| StoreError::io(StoreOp::Fsync, path, &e))?;
             if let Some(dir) = path.parent() {
                 sync_dir(dir)?;
             }
@@ -88,8 +88,8 @@ impl Wal {
         let valid = (WAL_MAGIC.len() + scan.valid_len) as u64;
         if scan.stop != ScanStop::Clean {
             // Torn or corrupt tail: truncate to the last valid frame.
-            file.set_len(valid).map_err(|e| StoreError::io("truncate", path, &e))?;
-            file.sync_data().map_err(|e| StoreError::io("fsync", path, &e))?;
+            file.set_len(valid).map_err(|e| StoreError::io(StoreOp::Truncate, path, &e))?;
+            file.sync_data().map_err(|e| StoreError::io(StoreOp::Fsync, path, &e))?;
             recovered_tail = true;
         }
         Ok(WalReplay {
@@ -114,8 +114,10 @@ impl Wal {
     pub fn append_lost(&mut self, payload: &[u8]) -> Result<(), StoreError> {
         let frame = encode_frame(payload);
         self.write_at_end(&frame)?;
-        self.file.set_len(self.len).map_err(|e| StoreError::io("truncate", &self.path, &e))?;
-        self.file.sync_data().map_err(|e| StoreError::io("fsync", &self.path, &e))?;
+        self.file
+            .set_len(self.len)
+            .map_err(|e| StoreError::io(StoreOp::Truncate, &self.path, &e))?;
+        self.file.sync_data().map_err(|e| StoreError::io(StoreOp::Fsync, &self.path, &e))?;
         Ok(())
     }
 
@@ -136,8 +138,8 @@ impl Wal {
     pub fn truncate_all(&mut self) -> Result<(), StoreError> {
         self.file
             .set_len(WAL_MAGIC.len() as u64)
-            .map_err(|e| StoreError::io("truncate", &self.path, &e))?;
-        self.file.sync_data().map_err(|e| StoreError::io("fsync", &self.path, &e))?;
+            .map_err(|e| StoreError::io(StoreOp::Truncate, &self.path, &e))?;
+        self.file.sync_data().map_err(|e| StoreError::io(StoreOp::Fsync, &self.path, &e))?;
         self.len = WAL_MAGIC.len() as u64;
         Ok(())
     }
@@ -145,11 +147,11 @@ impl Wal {
     fn write_at_end(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
         self.file
             .seek(SeekFrom::Start(self.len))
-            .map_err(|e| StoreError::io("seek", &self.path, &e))?;
-        self.file.write_all(bytes).map_err(|e| StoreError::io("write", &self.path, &e))
+            .map_err(|e| StoreError::io(StoreOp::Seek, &self.path, &e))?;
+        self.file.write_all(bytes).map_err(|e| StoreError::io(StoreOp::Write, &self.path, &e))
     }
 
     fn sync(&mut self) -> Result<(), StoreError> {
-        self.file.sync_data().map_err(|e| StoreError::io("fsync", &self.path, &e))
+        self.file.sync_data().map_err(|e| StoreError::io(StoreOp::Fsync, &self.path, &e))
     }
 }

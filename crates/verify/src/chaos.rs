@@ -14,7 +14,8 @@
 //!   checks against the brute oracle;
 //! * **typed failure** — scripts marked [`Expectation::FailsTyped`]
 //!   must end in a [`SupervisedFailure`] carrying a typed
-//!   [`ExecError`] with backend/stage provenance;
+//!   [`ExecError`] (its backend/stage provenance is enforced by the
+//!   `FailedAttempt` type, so no check is needed);
 //! * **journal completeness** — success or failure, the journal is
 //!   closed by a terminal event and records at least the attempts the
 //!   script forced.
@@ -311,16 +312,6 @@ pub fn run_chaos(scripts: &[FaultScript], seeds: &[u64], cfg: &ChaosConfig) -> C
                                 &tag,
                                 "journal-complete",
                                 "failed run's journal lacks a terminal event".to_string(),
-                            ));
-                        }
-                        if failure.error.backend.is_empty() || failure.error.stage.is_empty() {
-                            outcome.discrepancies.push(Discrepancy::new(
-                                &tag,
-                                "error-provenance",
-                                format!(
-                                    "failure lacks backend/stage provenance: {}",
-                                    failure.error
-                                ),
                             ));
                         }
                     }

@@ -26,7 +26,7 @@ use crate::gen::Family;
 use crate::Discrepancy;
 use nck_anneal::AnnealerDevice;
 use nck_exec::{
-    AnnealerBackend, Backend, ClassicalBackend, ExecError, ExecReport, ExecutionPlan,
+    AnnealerBackend, Backend, BackendId, ClassicalBackend, ExecError, ExecReport, ExecutionPlan,
     GroverBackend, JournalKind, KillPoint, KillSpec, RecoveredRun, RetryPolicy, RunStore,
     StoreError, Supervisor,
 };
@@ -144,7 +144,7 @@ fn check_killed_run(
     // Typed death: the surfaced error names the kill point.
     let typed = matches!(
         &killed.error.error,
-        ExecError::Store(StoreError::Killed { point: p }) if *p == point.name()
+        ExecError::Store(StoreError::Killed { point: p }) if *p == point
     );
     if !typed {
         outcome.discrepancies.push(Discrepancy::new(
@@ -229,7 +229,7 @@ fn check_killed_run(
     // record) must not run again. A crash after the LadderStep journal
     // event but before the RungCompleted record legitimately re-runs
     // the rung — the completion never reached disk.
-    let completed: HashSet<&str> =
+    let completed: HashSet<BackendId> =
         ladder.iter().take(rec.completed_rungs as usize).map(|b| b.name()).collect();
 
     outcome.runs += 1;
@@ -258,7 +258,7 @@ fn check_killed_run(
                 ));
             }
             for ev in &report.journal.events[n..] {
-                if matches!(ev.kind, JournalKind::AttemptStarted) && completed.contains(ev.backend)
+                if matches!(ev.kind, JournalKind::AttemptStarted) && completed.contains(&ev.backend)
                 {
                     outcome.discrepancies.push(Discrepancy::new(
                         tag,

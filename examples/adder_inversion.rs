@@ -47,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         p.num_vars()
     );
 
-    let device = AnnealerDevice::advantage_4_1();
-    let out = run_on_annealer(&p, &device, 100, 21)?;
+    let annealer = AnnealerBackend::new(AnnealerDevice::advantage_4_1(), 100);
+    let out = ExecutionPlan::new(&p).run(&annealer, 21)?;
     let bit = |v: Var| u32::from(out.assignment[v.index()]);
     let a = bit(a0) + 2 * bit(a1);
     let b = bit(b0) + 2 * bit(b1);

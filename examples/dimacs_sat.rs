@@ -47,9 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Classical reference first: is it satisfiable at all?
-    match run_classically(&program) {
-        Ok((x, _)) => {
-            assert!(sat.is_satisfying(&x[..sat.num_vars()]));
+    let plan = ExecutionPlan::new(&program);
+    match plan.run(&ClassicalBackend::default(), 0) {
+        Ok(out) => {
+            assert!(sat.is_satisfying(&out.assignment[..sat.num_vars()]));
             println!("classical: SATISFIABLE");
         }
         Err(ExecError::Unsatisfiable) => {
@@ -59,8 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Err(e) => return Err(e.into()),
     }
 
-    let device = AnnealerDevice::advantage_4_1();
-    let out = run_on_annealer(&program, &device, 100, 17)?;
+    let annealer = AnnealerBackend::new(AnnealerDevice::advantage_4_1(), 100);
+    let out = plan.run(&annealer, 17)?;
     let solution = &out.assignment[..sat.num_vars()];
     println!("annealer: {} — formula satisfied: {}", out.quality, sat.is_satisfying(solution));
     let bits: String = solution.iter().map(|&b| if b { '1' } else { '0' }).collect();

@@ -38,8 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         program.num_vars(),
     );
 
-    let device = AnnealerDevice::advantage_4_1();
-    let out = run_on_annealer(&program, &device, 100, 13)?;
+    let annealer = AnnealerBackend::new(AnnealerDevice::advantage_4_1(), 100);
+    let out = ExecutionPlan::new(&program).run(&annealer, 13)?;
     println!("result quality: {}", out.quality);
     match problem.decode(&out.assignment) {
         Some(coloring) => {
@@ -55,9 +55,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two colors are provably insufficient (SA borders a triangle):
     // the classical solver reports unsatisfiability.
     let two = MapColoring::new(problem.graph().clone(), 2);
-    match run_classically(&two.program()) {
+    let two = two.program();
+    match ExecutionPlan::new(&two).run(&ClassicalBackend::default(), 0) {
         Err(ExecError::Unsatisfiable) => println!("2 colors: unsatisfiable, as expected"),
-        other => println!("2 colors: unexpected outcome {other:?}"),
+        other => println!("2 colors: unexpected outcome {:?}", other.map(|r| r.assignment)),
     }
     Ok(())
 }

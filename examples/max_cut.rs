@@ -24,12 +24,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Classical optimum (the oracle).
-    let (_, best_cut) = run_classically(&program)?;
+    let plan = ExecutionPlan::new(&program);
+    let best_cut = plan.run(&ClassicalBackend::default(), 0)?.soft_satisfied;
     println!("classical optimum cuts {best_cut} edges");
 
     // Simulated D-Wave.
-    let annealer = AnnealerDevice::advantage_4_1();
-    let out = run_on_annealer(&program, &annealer, 100, 5)?;
+    let annealer = AnnealerBackend::new(AnnealerDevice::advantage_4_1(), 100);
+    let out = plan.run(&annealer, 5)?;
     println!(
         "annealer:   {} — cut {} of {} edges",
         out.quality,
@@ -38,8 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Simulated IBM Q via QAOA.
-    let gate = GateModelDevice::ibmq_brooklyn();
-    let out = run_on_gate_model(&program, &gate, 1, 4000, 40, 5)?;
+    let gate = GateModelBackend::new(GateModelDevice::ibmq_brooklyn(), 1, 4000, 40);
+    let out = plan.run(&gate, 5)?;
     println!(
         "gate model: {} — cut {} of {} edges",
         out.quality,

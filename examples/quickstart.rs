@@ -37,8 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Run on the simulated D-Wave Advantage 4.1 (100 samples, as in
     //    the paper).
-    let annealer = AnnealerDevice::advantage_4_1();
-    let out = run_on_annealer(&p, &annealer, 100, 42)?;
+    let plan = ExecutionPlan::new(&p);
+    let annealer = AnnealerBackend::new(AnnealerDevice::advantage_4_1(), 100);
+    let out = plan.run(&annealer, 42)?;
     println!(
         "annealer: {} → a={} b={} c={}",
         out.quality,
@@ -48,8 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. Run on the simulated 65-qubit IBM device via QAOA.
-    let gate = GateModelDevice::ibmq_brooklyn();
-    let out = run_on_gate_model(&p, &gate, 1, 4000, 40, 42)?;
+    let gate = GateModelBackend::new(GateModelDevice::ibmq_brooklyn(), 1, 4000, 40);
+    let out = plan.run(&gate, 42)?;
     println!(
         "gate model: {} → a={} b={} c={}",
         out.quality,
@@ -59,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 5. And classically (exact).
-    let (x, _) = run_classically(&p)?;
+    let x = plan.run(&ClassicalBackend::default(), 0)?.assignment;
     println!("classical:  a={} b={} c={}", x[a.index()], x[b.index()], x[c.index()]);
     assert!(p.all_hard_satisfied(&x));
     Ok(())

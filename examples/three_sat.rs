@@ -19,12 +19,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sat.clauses().len()
     );
 
-    let device = AnnealerDevice::advantage_4_1();
+    let annealer = AnnealerBackend::new(AnnealerDevice::advantage_4_1(), 100);
     for (name, program) in
         [("dual-rail", sat.program_dual_rail()), ("repeated-variable", sat.program_repeated())]
     {
         let compiled = compile(&program, &CompilerOptions::default())?;
-        let out = run_on_annealer(&program, &device, 100, 31)?;
+        let out = ExecutionPlan::new(&program).run(&annealer, 31)?;
         // Either encoding projects a solution onto the first n bits.
         let solution: Vec<bool> = out.assignment[..sat.num_vars()].to_vec();
         println!(

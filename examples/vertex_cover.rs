@@ -25,8 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         program.num_nonsymmetric(),
     );
 
-    let device = AnnealerDevice::advantage_4_1();
-    let out = run_on_annealer(&program, &device, 100, 7)?;
+    let annealer = AnnealerBackend::new(AnnealerDevice::advantage_4_1(), 100);
+    let out = ExecutionPlan::new(&program).run(&annealer, 7)?;
     let cover: Vec<usize> =
         out.assignment.iter().enumerate().filter(|(_, &b)| b).map(|(v, _)| v).collect();
     let names = ["a", "b", "c", "d", "e"];

@@ -53,8 +53,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         p.total_soft_weight()
     );
 
-    let device = AnnealerDevice::advantage_4_1();
-    let out = run_on_annealer(&p, &device, 100, 33)?;
+    let annealer = AnnealerBackend::new(AnnealerDevice::advantage_4_1(), 100);
+    let out = ExecutionPlan::new(&p).run(&annealer, 33)?;
     println!(
         "annealer result: {} (satisfied weight {}/{})",
         out.quality,

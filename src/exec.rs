@@ -6,15 +6,14 @@
 //! lives in [`nck_exec`]: a [`Backend`] trait over all four solver
 //! paths, an [`ExecutionPlan`] that compiles once and fans out to any
 //! backend or seed sweep, per-stage [`StageTimings`], and typed
-//! [`ExecError`] failures. The original free functions remain as thin
-//! wrappers.
+//! [`ExecError`] failures. A run is `ExecutionPlan::new(&program)
+//! .run(&backend, seed)`.
 
 pub use nck_exec::{
-    run_classically, run_on_annealer, run_on_gate_model, run_on_grover, AnnealerBackend, Backend,
-    BackendMetrics, Candidates, ClassicalBackend, ExecError, ExecOutcome, ExecReport,
-    ExecutionPlan, GateModelBackend, GroverBackend, PlanStats, Prepared, RetryPolicy, RunBudget,
-    RunJournal, StageOutcome, StageTimings, SupervisedFailure, Supervisor, Tally, BBHT_GROWTH,
-    PACKED_SAMPLER_LIMIT,
+    AnnealerBackend, Backend, BackendId, BackendMetrics, Candidates, ClassicalBackend, ExecError,
+    ExecReport, ExecutionPlan, GateModelBackend, GroverBackend, PlanStats, Prepared, RetryPolicy,
+    RunBudget, RunJournal, StageOutcome, StageTimings, SupervisedFailure, Supervisor, Tally,
+    BBHT_GROWTH, PACKED_SAMPLER_LIMIT,
 };
 
 #[cfg(test)]
@@ -39,8 +38,8 @@ mod tests {
     #[test]
     fn annealer_end_to_end_optimal() {
         let p = vertex_cover();
-        let device = AnnealerDevice::ideal(16);
-        let out = run_on_annealer(&p, &device, 50, 3).unwrap();
+        let annealer = AnnealerBackend::new(AnnealerDevice::ideal(16), 50);
+        let out = ExecutionPlan::new(&p).run(&annealer, 3).unwrap();
         assert_eq!(out.quality, SolutionQuality::Optimal);
         assert_eq!(out.max_soft, 2);
         assert_eq!(out.assignment.iter().filter(|&&b| b).count(), 3);
@@ -49,17 +48,17 @@ mod tests {
     #[test]
     fn gate_model_end_to_end_optimal() {
         let p = vertex_cover();
-        let device = GateModelDevice::ideal(8);
-        let out = run_on_gate_model(&p, &device, 1, 1024, 60, 3).unwrap();
+        let gate = GateModelBackend::new(GateModelDevice::ideal(8), 1, 1024, 60);
+        let out = ExecutionPlan::new(&p).run(&gate, 3).unwrap();
         assert!(out.quality >= SolutionQuality::Suboptimal);
     }
 
     #[test]
     fn classical_end_to_end() {
         let p = vertex_cover();
-        let (assignment, soft) = run_classically(&p).unwrap();
-        assert_eq!(soft, 2);
-        assert!(p.all_hard_satisfied(&assignment));
+        let out = ExecutionPlan::new(&p).run(&ClassicalBackend::default(), 0).unwrap();
+        assert_eq!(out.soft_satisfied, 2);
+        assert!(p.all_hard_satisfied(&out.assignment));
     }
 
     #[test]
@@ -71,7 +70,7 @@ mod tests {
         let c = p.new_var("c").unwrap();
         p.nck(vec![a, b], [0, 1]).unwrap();
         p.nck(vec![b, c], [1]).unwrap();
-        let out = run_on_grover(&p, 9).unwrap();
+        let out = ExecutionPlan::new(&p).run(&GroverBackend::default(), 9).unwrap();
         assert_eq!(out.quality, SolutionQuality::Optimal);
         assert!(p.all_hard_satisfied(&out.assignment));
     }
@@ -80,7 +79,8 @@ mod tests {
     fn grover_map_coloring() {
         use nck_problems::{Graph, MapColoring};
         let problem = MapColoring::new(Graph::cycle(4), 2);
-        let out = run_on_grover(&problem.program(), 4).unwrap();
+        let program = problem.program();
+        let out = ExecutionPlan::new(&program).run(&GroverBackend::default(), 4).unwrap();
         assert!(problem.is_valid_coloring(&out.assignment));
     }
 
@@ -90,6 +90,7 @@ mod tests {
         let a = p.new_var("a").unwrap();
         p.nck(vec![a], [0]).unwrap();
         p.nck(vec![a], [1]).unwrap();
-        assert!(matches!(run_classically(&p), Err(ExecError::Unsatisfiable)));
+        let out = ExecutionPlan::new(&p).run(&ClassicalBackend::default(), 0);
+        assert!(matches!(out, Err(ExecError::Unsatisfiable)));
     }
 }

@@ -26,8 +26,8 @@
 //!     p.nck_soft(vec![v], [0]).unwrap(); // minimize the cover
 //! }
 //!
-//! let device = AnnealerDevice::ideal(16);
-//! let out = run_on_annealer(&p, &device, 100, 42).unwrap();
+//! let annealer = AnnealerBackend::new(AnnealerDevice::ideal(16), 100);
+//! let out = ExecutionPlan::new(&p).run(&annealer, 42).unwrap();
 //! assert_eq!(out.quality, SolutionQuality::Optimal);
 //! assert_eq!(out.assignment.iter().filter(|&&b| b).count(), 3);
 //! ```
@@ -58,8 +58,7 @@ pub use nck_smt;
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use crate::exec::{
-        run_classically, run_on_annealer, run_on_gate_model, run_on_grover, AnnealerBackend,
-        Backend, BackendMetrics, ClassicalBackend, ExecError, ExecOutcome, ExecReport,
+        AnnealerBackend, Backend, BackendMetrics, ClassicalBackend, ExecError, ExecReport,
         ExecutionPlan, GateModelBackend, GroverBackend, RetryPolicy, RunBudget, StageTimings,
         SupervisedFailure, Supervisor,
     };

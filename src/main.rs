@@ -220,7 +220,11 @@ fn main() -> ExitCode {
                 print!("{}", report.journal.render());
             }
             if show_stages {
-                print!("{}\n{}", StageTimings::CSV_HEADER, report.timings.csv_rows(report.backend));
+                print!(
+                    "{}\n{}",
+                    StageTimings::CSV_HEADER,
+                    report.timings.csv_rows(&report.backend.to_string())
+                );
             }
             ExitCode::SUCCESS
         }

@@ -20,7 +20,9 @@ fn good_annealer() -> AnnealerDevice {
 #[test]
 fn vertex_cover_on_annealer() {
     let problem = MinVertexCover::new(Graph::new(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]));
-    let out = run_on_annealer(&problem.program(), &good_annealer(), 100, 1).unwrap();
+    let out = ExecutionPlan::new(&problem.program())
+        .run(&AnnealerBackend::new(good_annealer(), 100), 1)
+        .unwrap();
     assert_eq!(out.quality, SolutionQuality::Optimal);
     assert!(problem.is_cover(&out.assignment));
     assert_eq!(problem.cover_size(&out.assignment), 3);
@@ -29,7 +31,9 @@ fn vertex_cover_on_annealer() {
 #[test]
 fn max_cut_on_annealer() {
     let problem = MaxCut::new(Graph::cycle(8));
-    let out = run_on_annealer(&problem.program(), &good_annealer(), 100, 2).unwrap();
+    let out = ExecutionPlan::new(&problem.program())
+        .run(&AnnealerBackend::new(good_annealer(), 100), 2)
+        .unwrap();
     assert_eq!(out.quality, SolutionQuality::Optimal);
     assert_eq!(problem.cut_size(&out.assignment), 8);
 }
@@ -37,7 +41,9 @@ fn max_cut_on_annealer() {
 #[test]
 fn exact_cover_on_annealer() {
     let problem = ExactCover::random(8, 4, 11);
-    let out = run_on_annealer(&problem.program(), &good_annealer(), 100, 3).unwrap();
+    let out = ExecutionPlan::new(&problem.program())
+        .run(&AnnealerBackend::new(good_annealer(), 100), 3)
+        .unwrap();
     assert_eq!(out.quality, SolutionQuality::Optimal);
     assert!(problem.is_exact_cover(&out.assignment));
 }
@@ -46,7 +52,9 @@ fn exact_cover_on_annealer() {
 fn min_set_cover_on_annealer() {
     let problem =
         MinSetCover::new(5, vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 4], vec![0, 4]]);
-    let out = run_on_annealer(&problem.program(), &good_annealer(), 100, 4).unwrap();
+    let out = ExecutionPlan::new(&problem.program())
+        .run(&AnnealerBackend::new(good_annealer(), 100), 4)
+        .unwrap();
     assert_eq!(out.quality, SolutionQuality::Optimal);
     assert!(problem.is_cover(&out.assignment));
 }
@@ -54,7 +62,9 @@ fn min_set_cover_on_annealer() {
 #[test]
 fn map_coloring_on_annealer() {
     let problem = MapColoring::new(Graph::cycle(5), 3);
-    let out = run_on_annealer(&problem.program(), &good_annealer(), 100, 5).unwrap();
+    let out = ExecutionPlan::new(&problem.program())
+        .run(&AnnealerBackend::new(good_annealer(), 100), 5)
+        .unwrap();
     assert_eq!(out.quality, SolutionQuality::Optimal);
     assert!(problem.is_valid_coloring(&out.assignment));
 }
@@ -63,7 +73,9 @@ fn map_coloring_on_annealer() {
 fn clique_cover_on_annealer() {
     let g = Graph::new(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]);
     let problem = CliqueCover::new(g, 2);
-    let out = run_on_annealer(&problem.program(), &good_annealer(), 100, 6).unwrap();
+    let out = ExecutionPlan::new(&problem.program())
+        .run(&AnnealerBackend::new(good_annealer(), 100), 6)
+        .unwrap();
     assert_eq!(out.quality, SolutionQuality::Optimal);
     assert!(problem.is_valid_cover(&out.assignment));
 }
@@ -71,7 +83,9 @@ fn clique_cover_on_annealer() {
 #[test]
 fn three_sat_on_annealer() {
     let sat = KSat::random_3sat(7, 10, 7);
-    let out = run_on_annealer(&sat.program_repeated(), &good_annealer(), 100, 7).unwrap();
+    let out = ExecutionPlan::new(&sat.program_repeated())
+        .run(&AnnealerBackend::new(good_annealer(), 100), 7)
+        .unwrap();
     assert_eq!(out.quality, SolutionQuality::Optimal);
     assert!(sat.is_satisfying(&out.assignment[..7]));
 }
@@ -79,8 +93,8 @@ fn three_sat_on_annealer() {
 #[test]
 fn vertex_cover_on_gate_model() {
     let problem = MinVertexCover::new(Graph::new(4, [(0, 1), (1, 2), (2, 3)]));
-    let device = GateModelDevice::ideal(8);
-    let out = run_on_gate_model(&problem.program(), &device, 1, 2048, 60, 8).unwrap();
+    let gate = GateModelBackend::new(GateModelDevice::ideal(8), 1, 2048, 60);
+    let out = ExecutionPlan::new(&problem.program()).run(&gate, 8).unwrap();
     assert!(out.quality.is_correct(), "got {}", out.quality);
     assert!(problem.is_cover(&out.assignment));
 }
@@ -88,8 +102,8 @@ fn vertex_cover_on_gate_model() {
 #[test]
 fn max_cut_on_gate_model() {
     let problem = MaxCut::new(Graph::cycle(6));
-    let device = GateModelDevice::ideal(6);
-    let out = run_on_gate_model(&problem.program(), &device, 1, 2048, 60, 9).unwrap();
+    let gate = GateModelBackend::new(GateModelDevice::ideal(6), 1, 2048, 60);
+    let out = ExecutionPlan::new(&problem.program()).run(&gate, 9).unwrap();
     // p=1 QAOA with enough shots on an even cycle finds the bipartition.
     assert_eq!(out.quality, SolutionQuality::Optimal);
     assert_eq!(problem.cut_size(&out.assignment), 6);

@@ -93,7 +93,7 @@ fn grover_backend_solves_paper_intro() {
     let c = p.new_var("c").unwrap();
     p.nck(vec![a, b], [0, 1]).unwrap();
     p.nck(vec![b, c], [1]).unwrap();
-    let out = run_on_grover(&p, 13).unwrap();
+    let out = ExecutionPlan::new(&p).run(&GroverBackend::default(), 13).unwrap();
     assert!(p.all_hard_satisfied(&out.assignment));
     assert_eq!(out.quality, SolutionQuality::Optimal);
 }

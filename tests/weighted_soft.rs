@@ -87,7 +87,7 @@ fn weighted_max_cut_on_annealer() {
     let mut device = AnnealerDevice::advantage_4_1();
     device.noise = NoiseModel::ideal();
     device.sa = SaParams { num_sweeps: 256, ..SaParams::default() };
-    let out = run_on_annealer(&program, &device, 100, 8).unwrap();
+    let out = ExecutionPlan::new(&program).run(&AnnealerBackend::new(device, 100), 8).unwrap();
     assert_eq!(out.quality, SolutionQuality::Optimal);
     assert_ne!(out.assignment[0], out.assignment[2], "the weight-20 diagonal must be cut");
     assert_eq!(mc.cut_weight(&out.assignment), out.max_soft);
